@@ -196,14 +196,14 @@ class SearchConfig:
     exhaustive_below: evaluate every candidate (and fully verify that
         the aggregate rate is monotone) when the grid is at most this
         large; larger grids are bisected.
-    pad: headroom added above the largest attainable branch mean so the
-        poll-every-slot regime is always on the grid.
-    refine: test one extra midpoint on each side of the winner.
     """
 
     exhaustive_below: int = 256
-    pad: float = 1.0
-    refine: bool = True
+
+
+# headroom above the largest attainable branch mean, so that the
+# poll-every-slot regime is always on the grid
+_PAD = 1.0
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def solve_eta(sensors: list[ChainParams], search: SearchConfig | None = None) ->
         raise ValueError("need at least one sensor")
     cfg = search or SearchConfig()
     values = np.unique(np.concatenate([_table_cached(s).ravel() for s in sensors]))
-    top = max(s.q + s.m * s.p for s in sensors) + cfg.pad
+    top = max(s.q + s.m * s.p for s in sensors) + _PAD
     values = np.append(values, top)
     mids = (values[1:] + values[:-1]) / 2.0
     grid = np.unique(np.concatenate([values, mids]))
@@ -278,13 +278,13 @@ def solve_eta(sensors: list[ChainParams], search: SearchConfig | None = None) ->
                 else:
                     hi = mid
 
+    # test one extra midpoint on each side of the winner
     eta_star = _pick(evaluated)
-    if cfg.refine:
-        pos = int(np.searchsorted(grid, eta_star))
-        for nb in (pos - 1, pos + 1):
-            if 0 <= nb < len(grid):
-                evaluate((float(grid[nb]) + eta_star) / 2.0)
-        eta_star = _pick(evaluated)
+    pos = int(np.searchsorted(grid, eta_star))
+    for nb in (pos - 1, pos + 1):
+        if 0 <= nb < len(grid):
+            evaluate((float(grid[nb]) + eta_star) / 2.0)
+    eta_star = _pick(evaluated)
 
     etas = sorted(evaluated)
     rates = [evaluated[e] for e in etas]

@@ -1,10 +1,19 @@
-"""Slot-level Monte Carlo of the polling policies.
+"""Poll-event Monte Carlo of the polling policies.
 
 Timing convention: the decision for a slot is made from the beliefs
 held at the end of the previous slot, and a poll returns the sensor's
 age as of the end of the previous slot. After the poll lands, every
 true age takes its chain step and every belief branch either resets to
 (observed age, 1) or ages by one slot.
+
+One engine runs every policy, and a policy only supplies its polls as
+(slot, sensor) pairs. A sensor's true age does not depend on the
+policy, so the engine builds it per draw chunk in closed form from the
+sensor's uniforms. A belief is held as (observed age, slot of the last
+poll), so a sensor that is not polled needs no update. Greedy polling
+stays slot-sequential; the cutoff policy decouples the sensors into
+threshold processes and steps each from poll to poll by its gamma_scan
+table; random polling reads its picks per chunk.
 
 True ages start from the stationary distribution and beliefs start at
 the no-information branch, so the first 10 * max(age cap) slots are
@@ -20,6 +29,7 @@ autocorrelated.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -27,6 +37,7 @@ import numpy as np
 
 from .belief import BranchState, _table_cached
 from .chain import ChainParams, steady_state
+from .threshold import gamma_scan
 
 __all__ = ["SensorWorld", "SimResult", "run_random", "run_greedy", "run_relaxed"]
 
@@ -76,185 +87,143 @@ class SimResult:
     seed: int
 
 
-class _Ctx:
-    """Unpacked per-run state shared by the policy loops."""
+def _age_path(params: ChainParams, start: int, u: np.ndarray) -> np.ndarray:
+    """True ages before each slot of a chunk, plus the age after it.
 
-    def __init__(self, sensors: list[ChainParams], horizon: int, seed: int):
-        if not sensors:
-            raise ValueError("need at least one sensor")
-        self.n = len(sensors)
-        self.burn = 10 * max(s.m for s in sensors)
-        if horizon <= self.burn:
-            raise ValueError(
-                f"horizon {horizon} does not clear the burn-in of {self.burn} slots"
-            )
-        self.horizon = horizon
-        self.seed = seed
-        self.mlen = horizon - self.burn
-        self.nb = _BATCHES if self.mlen >= _BATCHES else 1
-        ss = np.random.SeedSequence(seed)
-        children = ss.spawn(self.n + 1)
-        self.s_rngs = [np.random.default_rng(c) for c in children[: self.n]]
-        self.p_rng = np.random.default_rng(children[self.n])
-        world = SensorWorld.steady(sensors, self.s_rngs)
-        self.aoi = list(world.true_aoi)
-        self.bk = [b.k for b in world.beliefs]
-        self.bi = [b.i for b in world.beliefs]
-        self.qs = [s.q for s in sensors]
-        self.mcap = [s.m for s in sensors]
-        self.isat = [s.m - 1 for s in sensors]
-        self.ab = []
-        for s in sensors:
-            padded = np.zeros((s.m + 1, s.m))
-            padded[1:, 1:] = _table_cached(s)
-            self.ab.append(padded.tolist())
+    The age before slot j is the number of slots since the last delivery
+    (u < q) in the chunk, or start + j when there was none, capped at m.
+    """
+    slots = np.arange(len(u) + 1)
+    origin = np.empty(len(u) + 1, dtype=np.int64)
+    origin[0] = -start
+    origin[1:] = np.where(u < params.q, slots[:-1], -start)
+    return np.minimum(slots - np.maximum.accumulate(origin), params.m)
 
-    def result(self, obs_sum, exp_sum, nsamp, counts, b_obs, b_cnt) -> SimResult:
-        return SimResult(
-            j_realized=obs_sum / nsamp if nsamp else math.nan,
-            j_expected=exp_sum / nsamp if nsamp else math.nan,
-            samples_per_slot=nsamp / self.mlen,
-            per_sensor_samples=tuple(counts),
-            batch_means=tuple(o / c for o, c in zip(b_obs, b_cnt) if c),
-            slots=self.horizon,
-            seed=self.seed,
-        )
+
+def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> SimResult:
+    """Run one policy from the stationary start and account its polls.
+
+    polls(tables, obs, last, p_rng) returns the policy's polls as
+    (slot, sensor) pairs in slot order, sensors ascending within a slot,
+    all below horizon. tables[s][k][i] is the mean of branch (k, i) of
+    sensor s; obs[s] and last[s] are the age seen at its last poll and
+    that poll's slot, so the branch at slot t is
+    (obs[s], min(t - last[s], m - 1)). Both lists are updated before the
+    policy is asked for its next poll.
+    """
+    if not sensors:
+        raise ValueError("need at least one sensor")
+    n = len(sensors)
+    burn = 10 * max(s.m for s in sensors)
+    if horizon <= burn:
+        raise ValueError(f"horizon {horizon} does not clear the burn-in of {burn} slots")
+    mlen = horizon - burn
+    nb = _BATCHES if mlen >= _BATCHES else 1
+    children = np.random.SeedSequence(seed).spawn(n + 1)
+    s_rngs = [np.random.default_rng(c) for c in children[:n]]
+    p_rng = np.random.default_rng(children[n])
+    world = SensorWorld.steady(sensors, s_rngs)
+    obs = [b.k for b in world.beliefs]
+    last = [-b.i for b in world.beliefs]
+    isat = [s.m - 1 for s in sensors]
+    tables = []
+    for s in sensors:
+        padded = np.zeros((s.m + 1, s.m))
+        padded[1:, 1:] = _table_cached(s)
+        tables.append(padded.tolist())
+
+    obs_sum = exp_sum = 0.0
+    nsamp = 0
+    counts = [0] * n
+    b_obs = [0.0] * nb
+    b_cnt = [0] * nb
+    # ages[s][t - t0] is the true age of sensor s before slot t of the
+    # chunk [t0, end); the last entry starts the next chunk
+    ages = [[a] for a in world.true_aoi]
+    t0 = end = 0
+    for t, s in polls(tables, obs, last, p_rng):
+        while t >= end:
+            t0, end = end, min(end + _CHUNK, horizon)
+            ages = [
+                _age_path(sensor, path[-1], rng.random(end - t0)).tolist()
+                for sensor, path, rng in zip(sensors, ages, s_rngs)
+            ]
+        a = ages[s][t - t0]
+        d = t - last[s]
+        v = tables[s][obs[s]][d if d < isat[s] else isat[s]]
+        if t >= burn:
+            obs_sum += a
+            exp_sum += v
+            nsamp += 1
+            counts[s] += 1
+            bidx = (t - burn) * nb // mlen
+            b_obs[bidx] += a
+            b_cnt[bidx] += 1
+        obs[s] = a
+        last[s] = t
+    return SimResult(
+        j_realized=obs_sum / nsamp if nsamp else math.nan,
+        j_expected=exp_sum / nsamp if nsamp else math.nan,
+        samples_per_slot=nsamp / mlen,
+        per_sensor_samples=tuple(counts),
+        batch_means=tuple(o / c for o, c in zip(b_obs, b_cnt) if c),
+        slots=horizon,
+        seed=seed,
+    )
 
 
 def run_greedy(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult:
     """Each slot polls the sensor with the smallest branch mean
     (lowest index on ties)."""
-    ctx = _Ctx(sensors, horizon, seed)
-    n, burn, mlen, nb = ctx.n, ctx.burn, ctx.mlen, ctx.nb
-    aoi, bk, bi, ab = ctx.aoi, ctx.bk, ctx.bi, ctx.ab
-    qs, mcap, isat = ctx.qs, ctx.mcap, ctx.isat
-    obs_sum = exp_sum = 0.0
-    nsamp = 0
-    counts = [0] * n
-    b_obs = [0.0] * nb
-    b_cnt = [0] * nb
-    t = 0
-    while t < horizon:
-        nch = min(_CHUNK, horizon - t)
-        us = [r.random(nch).tolist() for r in ctx.s_rngs]
-        for j in range(nch):
-            best = 0
-            bv = ab[0][bk[0]][bi[0]]
-            for s in range(1, n):
-                v = ab[s][bk[s]][bi[s]]
+
+    def polls(tables, obs, last, p_rng):
+        isat = [sensor.m - 1 for sensor in sensors]
+        order = range(len(sensors))
+        for t in range(horizon):
+            best, bv = 0, math.inf
+            for s in order:
+                d = t - last[s]
+                v = tables[s][obs[s]][d if d < isat[s] else isat[s]]
                 if v < bv:
-                    bv = v
-                    best = s
-            obs = aoi[best]
-            tt = t + j
-            if tt >= burn:
-                obs_sum += obs
-                exp_sum += bv
-                nsamp += 1
-                counts[best] += 1
-                bidx = (tt - burn) * nb // mlen
-                b_obs[bidx] += obs
-                b_cnt[bidx] += 1
-            for s in range(n):
-                if us[s][j] < qs[s]:
-                    aoi[s] = 1
-                else:
-                    a = aoi[s] + 1
-                    aoi[s] = a if a < mcap[s] else mcap[s]
-                if s == best:
-                    bk[s] = obs
-                    bi[s] = 1
-                elif bi[s] < isat[s]:
-                    bi[s] += 1
-        t += nch
-    return ctx.result(obs_sum, exp_sum, nsamp, counts, b_obs, b_cnt)
+                    best, bv = s, v
+            yield t, best
+
+    return _simulate(sensors, horizon, seed, polls)
 
 
 def run_random(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult:
     """Each slot polls one sensor chosen uniformly at random."""
-    ctx = _Ctx(sensors, horizon, seed)
-    n, burn, mlen, nb = ctx.n, ctx.burn, ctx.mlen, ctx.nb
-    aoi, bk, bi, ab = ctx.aoi, ctx.bk, ctx.bi, ctx.ab
-    qs, mcap, isat = ctx.qs, ctx.mcap, ctx.isat
-    obs_sum = exp_sum = 0.0
-    nsamp = 0
-    counts = [0] * n
-    b_obs = [0.0] * nb
-    b_cnt = [0] * nb
-    t = 0
-    while t < horizon:
-        nch = min(_CHUNK, horizon - t)
-        us = [r.random(nch).tolist() for r in ctx.s_rngs]
-        picks = ctx.p_rng.integers(0, n, nch).tolist()
-        for j in range(nch):
-            pick = picks[j]
-            obs = aoi[pick]
-            tt = t + j
-            if tt >= burn:
-                obs_sum += obs
-                exp_sum += ab[pick][bk[pick]][bi[pick]]
-                nsamp += 1
-                counts[pick] += 1
-                bidx = (tt - burn) * nb // mlen
-                b_obs[bidx] += obs
-                b_cnt[bidx] += 1
-            for s in range(n):
-                if us[s][j] < qs[s]:
-                    aoi[s] = 1
-                else:
-                    a = aoi[s] + 1
-                    aoi[s] = a if a < mcap[s] else mcap[s]
-                if s == pick:
-                    bk[s] = obs
-                    bi[s] = 1
-                elif bi[s] < isat[s]:
-                    bi[s] += 1
-        t += nch
-    return ctx.result(obs_sum, exp_sum, nsamp, counts, b_obs, b_cnt)
+
+    def polls(tables, obs, last, p_rng):
+        for t0 in range(0, horizon, _CHUNK):
+            picks = p_rng.integers(0, len(sensors), min(_CHUNK, horizon - t0))
+            yield from enumerate(picks.tolist(), t0)
+
+    return _simulate(sensors, horizon, seed, polls)
 
 
 def run_relaxed(sensors: list[ChainParams], eta: float, horizon: int, seed: int) -> SimResult:
     """Each slot polls every sensor whose branch mean is below eta.
 
     Sensors decouple under this rule; the poll count per slot floats and
-    the per-poll estimates line up with the tuned-cutoff analysis.
+    the per-poll estimates line up with the tuned-cutoff analysis. Each
+    sensor is a threshold process: a poll that sees age k is followed by
+    the next one gamma_k slots later (gamma_scan), or by none when the
+    branch never drops below eta.
     """
-    ctx = _Ctx(sensors, horizon, seed)
-    n, burn, mlen, nb = ctx.n, ctx.burn, ctx.mlen, ctx.nb
-    aoi, bk, bi, ab = ctx.aoi, ctx.bk, ctx.bi, ctx.ab
-    qs, mcap, isat = ctx.qs, ctx.mcap, ctx.isat
-    obs_sum = exp_sum = 0.0
-    nsamp = 0
-    counts = [0] * n
-    b_obs = [0.0] * nb
-    b_cnt = [0] * nb
-    t = 0
-    while t < horizon:
-        nch = min(_CHUNK, horizon - t)
-        us = [r.random(nch).tolist() for r in ctx.s_rngs]
-        for j in range(nch):
-            tt = t + j
-            measuring = tt >= burn
-            for s in range(n):
-                v = ab[s][bk[s]][bi[s]]
-                if v < eta:
-                    obs = aoi[s]
-                    if measuring:
-                        obs_sum += obs
-                        exp_sum += v
-                        nsamp += 1
-                        counts[s] += 1
-                        bidx = (tt - burn) * nb // mlen
-                        b_obs[bidx] += obs
-                        b_cnt[bidx] += 1
-                    bk[s] = obs
-                    bi[s] = 1
-                elif bi[s] < isat[s]:
-                    bi[s] += 1
-                if us[s][j] < qs[s]:
-                    aoi[s] = 1
-                else:
-                    a = aoi[s] + 1
-                    aoi[s] = a if a < mcap[s] else mcap[s]
-        t += nch
-    return ctx.result(obs_sum, exp_sum, nsamp, counts, b_obs, b_cnt)
+    gammas = [gamma_scan(s, eta).gamma for s in sensors]
+
+    def polls(tables, obs, last, p_rng):
+        # the stationary branch stays put until a poll, so a sensor whose
+        # stationary mean is not below eta is never polled
+        due = [(0, s) for s, sensor in enumerate(sensors) if tables[s][sensor.m][-1] < eta]
+        while due:
+            t, s = due[0]
+            yield t, s
+            nxt = t + gammas[s][obs[s] - 1]
+            if nxt < horizon:
+                heapq.heapreplace(due, (nxt, s))
+            else:
+                heapq.heappop(due)
+
+    return _simulate(sensors, horizon, seed, polls)

@@ -21,6 +21,7 @@ from aoi_bandit import (
     steady_state,
     step_aoi,
 )
+from aoi_bandit import sim
 
 BATCHES = 20
 
@@ -115,6 +116,23 @@ def test_twin_replays_random():
 def test_twin_replays_relaxed():
     eta = 3.1
     _compare(run_relaxed(FLEET, eta, 2000, seed=7), _twin(FLEET, 2000, 7, "relaxed", eta=eta))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_greedy(FLEET, 3000, seed=11),
+        lambda: run_random(FLEET, 3000, seed=11),
+        lambda: run_relaxed(FLEET, 3.1, 3000, seed=11),
+    ],
+    ids=["greedy", "random", "relaxed"],
+)
+def test_chunk_boundaries_change_nothing(monkeypatch, run):
+    # an odd draw chunk below the burn-in puts 30 chunk boundaries in the
+    # run; true ages, beliefs and cutoff poll times must carry across each
+    whole = run()
+    monkeypatch.setattr(sim, "_CHUNK", 97)
+    assert run() == whole
 
 
 def test_runs_are_reproducible():
