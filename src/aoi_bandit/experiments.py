@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .baselines import lower_bound, random_policy_value
 from .chain import ChainParams
@@ -157,12 +157,18 @@ def gen_sensors(config: ScenarioConfig, x: float, draw_rng: np.random.Generator)
     return [ChainParams(p=p, m=config.m) for p in ps]
 
 
+def _t_quantile(df: int) -> float:
+    # two-sided _CONF quantile of Student's t; stdtrit gives the same bits
+    # as scipy.stats.t.ppf without importing scipy.stats
+    return float(stdtrit(df, 0.5 + _CONF / 2.0))
+
+
 def _batch_halfwidth(result: SimResult) -> float:
     means = result.batch_means
     if len(means) < 2:
         return math.nan
     s = float(np.std(means, ddof=1))
-    return float(stats.t.ppf(0.5 + _CONF / 2.0, len(means) - 1)) * s / math.sqrt(len(means))
+    return _t_quantile(len(means) - 1) * s / math.sqrt(len(means))
 
 
 def _trial_seeds(config: ScenarioConfig, x_idx: int, trial: int) -> list[int]:
@@ -236,7 +242,7 @@ def _aggregate(config: ScenarioConfig, x_idx: int, trials: list[dict]) -> dict:
     for col in COLUMNS[1:-1]:
         row[col] = float(np.mean([t[col] for t in good]))
     if len(good) > 1:
-        quant = float(stats.t.ppf(0.5 + _CONF / 2.0, len(good) - 1))
+        quant = _t_quantile(len(good) - 1)
         hw = 0.0
         for col in _SIM_COLS:
             vals = [t[col] for t in good]

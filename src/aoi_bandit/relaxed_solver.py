@@ -224,8 +224,14 @@ class EtaSolution:
     monotone_ok: bool = True
 
 
+def _fleet_rates(sensors: list[ChainParams], eta: float) -> list[PerSensorRates]:
+    # one solve per distinct sensor, handed back in fleet order
+    rates = {s: sensor_rates(s, eta) for s in dict.fromkeys(sensors)}
+    return [rates[s] for s in sensors]
+
+
 def _d_hat(sensors: list[ChainParams], eta: float) -> float:
-    return sum(sensor_rates(s, eta).d_bar for s in sensors)
+    return sum(r.d_bar for r in _fleet_rates(sensors, eta))
 
 
 def _pick(evaluated: dict[float, float]) -> float:
@@ -292,7 +298,7 @@ def solve_eta(sensors: list[ChainParams], search: SearchConfig | None = None) ->
     if not monotone_ok:
         warnings.warn("aggregate poll rate not monotone on the evaluated grid")
 
-    per = [sensor_rates(s, eta_star) for s in sensors]
+    per = _fleet_rates(sensors, eta_star)
     active = tuple(i for i, r in enumerate(per) if r.d_bar > 0.0)
     d_hat = sum(r.d_bar for r in per)
     j_value = sum(r.r_bar for r in per) / d_hat if d_hat > 0 else math.nan
@@ -307,7 +313,7 @@ def solve_eta(sensors: list[ChainParams], search: SearchConfig | None = None) ->
 
 def relaxed_performance(sensors: list[ChainParams], eta: float) -> float:
     """Per-poll mean age of the threshold policy at a given cutoff."""
-    per = [sensor_rates(s, eta) for s in sensors]
+    per = _fleet_rates(sensors, eta)
     d_hat = sum(r.d_bar for r in per)
     if d_hat <= 0.0:
         raise ValueError(f"cutoff {eta} polls nothing; no performance defined")

@@ -1,4 +1,4 @@
-"""Poll-event Monte Carlo of the polling policies.
+"""Chunk-array Monte Carlo of the polling policies.
 
 Timing convention: the decision for a slot is made from the beliefs
 held at the end of the previous slot, and a poll returns the sensor's
@@ -6,32 +6,26 @@ age as of the end of the previous slot. After the poll lands, every
 true age takes its chain step and every belief branch either resets to
 (observed age, 1) or ages by one slot.
 
-One engine runs every policy, and a policy only supplies its polls as
-(slot, sensor) pairs. A sensor's true age does not depend on the
-policy, so the engine builds it per draw chunk in closed form from the
-sensor's uniforms. A belief is held as (observed age, slot of the last
-poll), so a sensor that is not polled needs no update. Greedy polling
-stays slot-sequential; the cutoff policy decouples the sensors into
-threshold processes and steps each from poll to poll by its gamma_scan
-table; random polling reads its picks per chunk.
+One engine runs every policy, a draw chunk at a time. True ages do not
+depend on the policy, so it builds them per chunk in closed form from
+the sensors' uniforms; the policy returns the chunk's polls as int
+arrays (random draws them at once, the cutoff policy follows each sensor
+by its gamma_scan table, greedy stays slot-sequential); array operations
+account them, each poll reading its branch off the sensor's last poll.
 
-True ages start from the stationary distribution and beliefs start at
-the no-information branch, so the first 10 * max(age cap) slots are
-treated as burn-in and excluded from every estimate.
-
-Estimates are reported per poll: j_realized averages the ages actually
-observed, j_expected averages the branch means that drove the
-decisions; the two estimate the same quantity and their agreement is a
-built-in consistency check. Per-slot rates follow by multiplying with
-samples_per_slot. Each run also keeps 20 contiguous batch means of the
-observed ages for confidence intervals, since slot samples are
-autocorrelated.
+True ages start from the stationary distribution and beliefs at the
+no-information branch; the first 10 * max(age cap) slots are burn-in,
+excluded from every estimate. Estimates are per poll: j_realized
+averages the observed ages, j_expected the branch means that drove the
+decisions; their agreement is a built-in check. Per-slot rates are these
+times samples_per_slot. 20 contiguous batch means of the observed ages
+give confidence intervals, since slot samples are autocorrelated.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,9 +51,8 @@ class SensorWorld:
     def steady(cls, sensors: list[ChainParams], rngs: list[np.random.Generator]) -> "SensorWorld":
         """Stationary start: ages drawn from the steady state, beliefs
         at the no-information branch (which equals the steady state)."""
-        ages = tuple(
-            int(rng.choice(s.m, p=steady_state(s))) + 1 for s, rng in zip(sensors, rngs)
-        )
+        ages = tuple(int(rng.choice(s.m, p=steady_state(s))) + 1
+                     for s, rng in zip(sensors, rngs))
         beliefs = tuple(BranchState.stationary(s.m) for s in sensors)
         return cls(sensors=tuple(sensors), true_aoi=ages, beliefs=beliefs)
 
@@ -94,22 +87,28 @@ def _age_path(params: ChainParams, start: int, u: np.ndarray) -> np.ndarray:
     (u < q) in the chunk, or start + j when there was none, capped at m.
     """
     slots = np.arange(len(u) + 1)
-    origin = np.empty(len(u) + 1, dtype=np.int64)
-    origin[0] = -start
-    origin[1:] = np.where(u < params.q, slots[:-1], -start)
+    origin = np.r_[-start, np.where(u < params.q, slots[:-1], -start)]
     return np.minimum(slots - np.maximum.accumulate(origin), params.m)
+
+
+@lru_cache(maxsize=64)
+def _padded_table(params: ChainParams) -> np.ndarray:
+    # [k, i] is the mean of branch (k, i); read-only, shared by a trial's runs
+    padded = np.zeros((params.m + 1, params.m))
+    padded[1:, 1:] = _table_cached(params)
+    padded.setflags(write=False)
+    return padded
 
 
 def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> SimResult:
     """Run one policy from the stationary start and account its polls.
 
-    polls(tables, obs, last, p_rng) returns the policy's polls as
-    (slot, sensor) pairs in slot order, sensors ascending within a slot,
-    all below horizon. tables[s][k][i] is the mean of branch (k, i) of
-    sensor s; obs[s] and last[s] are the age seen at its last poll and
-    that poll's slot, so the branch at slot t is
-    (obs[s], min(t - last[s], m - 1)). Both lists are updated before the
-    policy is asked for its next poll.
+    polls(t0, ages, obs, last, p_rng) returns the polls of the draw chunk
+    that starts at slot t0 as two int arrays, slots ascending and sensors
+    ascending within a slot. ages[s, j] is the true age of sensor s
+    before slot t0 + j; obs[s] and last[s] are the age seen at its last
+    poll before the chunk and that poll's slot, so until its next poll
+    the sensor is in branch (obs[s], min(t - last[s], m - 1)) at slot t.
     """
     if not sensors:
         raise ValueError("need at least one sensor")
@@ -119,74 +118,72 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
         raise ValueError(f"horizon {horizon} does not clear the burn-in of {burn} slots")
     mlen = horizon - burn
     nb = _BATCHES if mlen >= _BATCHES else 1
-    children = np.random.SeedSequence(seed).spawn(n + 1)
-    s_rngs = [np.random.default_rng(c) for c in children[:n]]
-    p_rng = np.random.default_rng(children[n])
+    *s_rngs, p_rng = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n + 1)]
     world = SensorWorld.steady(sensors, s_rngs)
-    obs = [b.k for b in world.beliefs]
-    last = [-b.i for b in world.beliefs]
-    isat = [s.m - 1 for s in sensors]
-    tables = []
-    for s in sensors:
-        padded = np.zeros((s.m + 1, s.m))
-        padded[1:, 1:] = _table_cached(s)
-        tables.append(padded.tolist())
+    m = np.array([s.m for s in sensors])
+    obs, last = m.copy(), 1 - m  # every belief starts at the stationary branch (m, m - 1)
+    # all padded tables in one flat array; sensor s starts at offset[s]
+    tables = [_padded_table(s).ravel() for s in sensors]
+    flat, offset = np.concatenate(tables), np.cumsum([0] + [len(t) for t in tables[:-1]])
 
-    obs_sum = exp_sum = 0.0
-    nsamp = 0
-    counts = [0] * n
-    b_obs = [0.0] * nb
-    b_cnt = [0] * nb
-    # ages[s][t - t0] is the true age of sensor s before slot t of the
-    # chunk [t0, end); the last entry starts the next chunk
-    ages = [[a] for a in world.true_aoi]
-    t0 = end = 0
-    for t, s in polls(tables, obs, last, p_rng):
-        while t >= end:
-            t0, end = end, min(end + _CHUNK, horizon)
-            ages = [
-                _age_path(sensor, path[-1], rng.random(end - t0)).tolist()
-                for sensor, path, rng in zip(sensors, ages, s_rngs)
-            ]
-        a = ages[s][t - t0]
-        d = t - last[s]
-        v = tables[s][obs[s]][d if d < isat[s] else isat[s]]
-        if t >= burn:
-            obs_sum += a
-            exp_sum += v
-            nsamp += 1
-            counts[s] += 1
-            bidx = (t - burn) * nb // mlen
-            b_obs[bidx] += a
-            b_cnt[bidx] += 1
-        obs[s] = a
-        last[s] = t
+    exp_sum, counts = 0.0, np.zeros(n, dtype=np.int64)
+    b_obs, b_cnt = np.zeros(nb), np.zeros(nb, dtype=np.int64)
+    ages = np.array([world.true_aoi]).T  # the last column starts the next chunk
+    for t0 in range(0, horizon, _CHUNK):
+        u = [rng.random(min(_CHUNK, horizon - t0)) for rng in s_rngs]
+        ages = np.array([_age_path(s, a, x) for s, a, x in zip(sensors, ages[:, -1].tolist(), u)])
+        slots, who = polls(t0, ages[:, :-1], obs, last, p_rng)
+        seen = ages[who, slots - t0]
+        # group the polls by sensor, keeping slot order, so that each reads
+        # the poll before it; a sensor's first one reads the carried state
+        order = np.argsort(who, kind="stable")
+        g_who, g_slot, g_seen = who[order], slots[order], seen[order]
+        head, tail = np.diff(g_who, prepend=-1) != 0, np.diff(g_who, append=n) != 0
+        prev_obs, prev_last = np.roll(g_seen, 1), np.roll(g_slot, 1)
+        prev_obs[head], prev_last[head] = obs[g_who[head]], last[g_who[head]]
+        mg = m[g_who]
+        value = np.empty(len(slots))
+        value[order] = flat[offset[g_who] + prev_obs * mg + np.minimum(g_slot - prev_last, mg - 1)]
+        obs[g_who[tail]], last[g_who[tail]] = g_seen[tail], g_slot[tail]
+        lo = int(np.searchsorted(slots, burn))
+        # summed in poll order: a pairwise sum would round differently
+        exp_sum = float(np.add.accumulate(np.r_[exp_sum, value[lo:]])[-1])
+        counts += np.bincount(who[lo:], minlength=n)
+        bidx = (slots[lo:] - burn) * nb // mlen
+        b_obs += np.bincount(bidx, weights=seen[lo:], minlength=nb)
+        b_cnt += np.bincount(bidx, minlength=nb)
+    # observed ages are integers, so their float sum is exact
+    nsamp, obs_sum = int(counts.sum()), float(b_obs.sum())
     return SimResult(
         j_realized=obs_sum / nsamp if nsamp else math.nan,
         j_expected=exp_sum / nsamp if nsamp else math.nan,
         samples_per_slot=nsamp / mlen,
-        per_sensor_samples=tuple(counts),
-        batch_means=tuple(o / c for o, c in zip(b_obs, b_cnt) if c),
+        per_sensor_samples=tuple(counts.tolist()),
+        batch_means=tuple(o / c for o, c in zip(b_obs.tolist(), b_cnt.tolist()) if c),
         slots=horizon,
         seed=seed,
     )
 
 
 def run_greedy(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult:
-    """Each slot polls the sensor with the smallest branch mean
-    (lowest index on ties)."""
+    """Each slot polls the sensor with the smallest branch mean, lowest index on ties."""
+    tabs = [_padded_table(s).tolist() for s in sensors]
+    order, isat = range(len(sensors)), [s.m - 1 for s in sensors]
 
-    def polls(tables, obs, last, p_rng):
-        isat = [sensor.m - 1 for sensor in sensors]
-        order = range(len(sensors))
-        for t in range(horizon):
+    def polls(t0, ages, obs, last, p_rng):
+        # each sensor's current table row and last-poll slot
+        rows = [tab[o] for tab, o in zip(tabs, obs.tolist())]
+        at, seen, picks = last.tolist(), ages.tolist(), []
+        for t in range(t0, t0 + ages.shape[1]):
             best, bv = 0, math.inf
             for s in order:
-                d = t - last[s]
-                v = tables[s][obs[s]][d if d < isat[s] else isat[s]]
+                d = t - at[s]
+                v = rows[s][d if d < isat[s] else isat[s]]
                 if v < bv:
                     best, bv = s, v
-            yield t, best
+            picks.append(best)
+            rows[best], at[best] = tabs[best][seen[best][t - t0]], t
+        return np.arange(t0, t0 + len(picks)), np.array(picks)
 
     return _simulate(sensors, horizon, seed, polls)
 
@@ -194,10 +191,8 @@ def run_greedy(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult
 def run_random(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult:
     """Each slot polls one sensor chosen uniformly at random."""
 
-    def polls(tables, obs, last, p_rng):
-        for t0 in range(0, horizon, _CHUNK):
-            picks = p_rng.integers(0, len(sensors), min(_CHUNK, horizon - t0))
-            yield from enumerate(picks.tolist(), t0)
+    def polls(t0, ages, obs, last, p_rng):
+        return np.arange(t0, t0 + ages.shape[1]), p_rng.integers(0, len(sensors), ages.shape[1])
 
     return _simulate(sensors, horizon, seed, polls)
 
@@ -205,25 +200,30 @@ def run_random(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult
 def run_relaxed(sensors: list[ChainParams], eta: float, horizon: int, seed: int) -> SimResult:
     """Each slot polls every sensor whose branch mean is below eta.
 
-    Sensors decouple under this rule; the poll count per slot floats and
-    the per-poll estimates line up with the tuned-cutoff analysis. Each
-    sensor is a threshold process: a poll that sees age k is followed by
-    the next one gamma_k slots later (gamma_scan), or by none when the
-    branch never drops below eta.
+    The poll count per slot floats, and the per-poll estimates line up
+    with the tuned-cutoff analysis. Each sensor is a threshold process: a
+    poll that sees age k is followed by the next one gamma_k slots later
+    (gamma_scan), or by none when the branch never drops below eta.
     """
-    gammas = [gamma_scan(s, eta).gamma for s in sensors]
+    # an abandoned branch puts the next poll past the horizon
+    gaps = [np.minimum(gamma_scan(s, eta).gamma, horizon).astype(np.int64) for s in sensors]
+    # the stationary branch stays put until a poll, so a sensor whose
+    # stationary mean is not below eta is never polled
+    due = [0 if _table_cached(s)[-1, -1] < eta else horizon for s in sensors]
 
-    def polls(tables, obs, last, p_rng):
-        # the stationary branch stays put until a poll, so a sensor whose
-        # stationary mean is not below eta is never polled
-        due = [(0, s) for s, sensor in enumerate(sensors) if tables[s][sensor.m][-1] < eta]
-        while due:
-            t, s = due[0]
-            yield t, s
-            nxt = t + gammas[s][obs[s] - 1]
-            if nxt < horizon:
-                heapq.heapreplace(due, (nxt, s))
-            else:
-                heapq.heappop(due)
+    def polls(t0, ages, obs, last, p_rng):
+        slots, who, size = [], [], ages.shape[1]
+        for s, gap in enumerate(gaps):
+            # chunk offsets of the chain j -> j + gamma[age(j) - 1]
+            nxt = (np.arange(size) + gap[ages[s] - 1]).tolist()
+            j, before = due[s] - t0, len(slots)
+            while j < size:
+                slots.append(j)
+                j = nxt[j]
+            due[s] = t0 + j
+            who += [s] * (len(slots) - before)
+        slots, who = t0 + np.array(slots, dtype=np.int64), np.array(who, dtype=np.int64)
+        order = np.argsort(slots, kind="stable")  # sensor runs stay in sensor order
+        return slots[order], who[order]
 
     return _simulate(sensors, horizon, seed, polls)

@@ -1,8 +1,13 @@
 """Command line entry points: exit codes, output shapes, seeding."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aoi_bandit
 from aoi_bandit import COLUMNS, read_csv
 from aoi_bandit.cli import main
 
@@ -151,3 +156,14 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "selftest: ok" in out
     assert "FAIL" not in out
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # a fresh process, so modules imported by other tests do not count
+    src = str(Path(aoi_bandit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, aoi_bandit.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

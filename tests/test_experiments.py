@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from aoi_bandit import (
     COLUMNS,
@@ -16,6 +17,7 @@ from aoi_bandit import (
     trial_fleet,
     write_csv,
 )
+from aoi_bandit import experiments
 
 GOOD = {
     "kind": "asym_uniform",
@@ -221,3 +223,8 @@ def test_failed_trials_flag_the_row(tmp_path, monkeypatch, capsys):
     write_csv(rows, path)
     parsed = read_csv(path)
     assert math.isnan(parsed[0]["j_greedy_sim"])
+
+
+def test_t_quantile_matches_scipy_stats():
+    for df in range(1, 201):
+        assert experiments._t_quantile(df) == stats.t.ppf(0.5 + experiments._CONF / 2.0, df)

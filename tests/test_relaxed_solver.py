@@ -1,5 +1,6 @@
 """Renewal-rate solver for the per-sensor cutoff policy."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from aoi_bandit import (
     solve_eta,
     steady_expected_aoi,
 )
+from aoi_bandit import relaxed_solver
 
 
 def _mid_eta(params, u=0.5):
@@ -209,3 +211,29 @@ def test_relaxed_performance_matches_solution():
     assert relaxed_performance(fleet, solution.eta_star) == pytest.approx(solution.j_value, abs=1e-12)
     with pytest.raises(ValueError):
         relaxed_performance(fleet, 1.0)
+
+
+def test_identical_sensors_are_solved_once(monkeypatch):
+    sensor, other = ChainParams(p=0.6, m=20), ChainParams(p=0.8, m=20)
+    real = relaxed_solver.sensor_rates
+    calls = []
+
+    def counting(params, eta):
+        calls.append(eta)
+        return real(params, eta)
+
+    monkeypatch.setattr(relaxed_solver, "sensor_rates", counting)
+    sol = solve_eta([sensor] * 4)
+    # one call per evaluated cutoff, plus the final rates at eta_star
+    seen = Counter(calls)
+    assert seen.pop(sol.eta_star) == 2
+    assert set(seen.values()) == {1}
+    per = [real(sensor, sol.eta_star)] * 4
+    assert sol.d_hat == sum(r.d_bar for r in per)
+    assert sol.j_value == sum(r.r_bar for r in per) / sol.d_hat
+    # repeated sensors still add up in fleet order
+    fleet = [sensor, other, sensor, other]
+    mixed = solve_eta(fleet)
+    per = [real(s, mixed.eta_star) for s in fleet]
+    assert mixed.d_hat == sum(r.d_bar for r in per)
+    assert mixed.j_value == sum(r.r_bar for r in per) / mixed.d_hat

@@ -118,6 +118,39 @@ def test_twin_replays_relaxed():
     _compare(run_relaxed(FLEET, eta, 2000, seed=7), _twin(FLEET, 2000, 7, "relaxed", eta=eta))
 
 
+# two identical sensors tie on every shared branch; the third has its own
+# age cap, so its branch means sit at a different offset of the tables
+MIXED = [ChainParams(p=0.6, m=5), ChainParams(p=0.6, m=5), ChainParams(p=0.8, m=7)]
+
+
+@pytest.mark.parametrize(
+    "policy, eta, seed",
+    [("greedy", None, 12), ("random", None, 13), ("relaxed", 4.2, 14), ("relaxed", 3.1, 15)],
+    ids=["greedy", "random", "relaxed", "relaxed-one-idle"],
+)
+def test_twin_replays_mixed_fleet(policy, eta, seed):
+    if policy == "greedy":
+        result = run_greedy(MIXED, 2000, seed)
+    elif policy == "random":
+        result = run_random(MIXED, 2000, seed)
+    else:
+        result = run_relaxed(MIXED, eta, 2000, seed)
+    _compare(result, _twin(MIXED, 2000, seed, policy, eta=eta))
+    if eta == 3.1:
+        # the third sensor's stationary mean is above this cutoff
+        assert result.per_sensor_samples[2] == 0 < min(result.per_sensor_samples[:2])
+
+
+def test_greedy_ties_go_to_the_lowest_index():
+    # with a perfect channel every branch mean is 1, so every slot is a
+    # three-way tie; the mixed fleet above couples its tied sensors
+    # within the burn-in, which hides the tie rule from its estimates
+    fleet = [ChainParams(p=0.0, m=4)] * 3
+    result = run_greedy(fleet, 1000, seed=2)
+    _compare(result, _twin(fleet, 1000, 2, "greedy"))
+    assert result.per_sensor_samples == (960, 0, 0)
+
+
 @pytest.mark.parametrize(
     "run",
     [
