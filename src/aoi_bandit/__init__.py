@@ -42,7 +42,6 @@ from .relaxed_solver import (
     EtaSolution,
     PerSensorRates,
     RecurrenceSystem,
-    SearchConfig,
     SingularSystemError,
     aoi_rate,
     build_system,
@@ -52,7 +51,7 @@ from .relaxed_solver import (
     sensor_rates,
     solve_eta,
 )
-from .sim import SensorWorld, SimResult, run_greedy, run_random, run_relaxed
+from .sim import SimResult, run_greedy, run_random, run_relaxed
 from .threshold import NEVER, ThresholdTable, gamma_analytic, gamma_scan, lambert_w0
 
 __version__ = "0.1.0"
@@ -82,7 +81,6 @@ __all__ = [
     "iterate_recurrence",
     "PerSensorRates",
     "sensor_rates",
-    "SearchConfig",
     "EtaSolution",
     "solve_eta",
     "relaxed_performance",
@@ -93,7 +91,6 @@ __all__ = [
     "lower_bound_symmetric",
     "random_policy_value",
     "random_policy_value_uniform",
-    "SensorWorld",
     "SimResult",
     "run_random",
     "run_greedy",

@@ -7,13 +7,15 @@ a renewal cycle the per-slot transmission and age rates have closed
 forms in (L, omega); tightening (L, omega) until the aggregate
 transmission rate just reaches one per slot yields a value no schedule
 can beat. The cycle argument runs on the untruncated age process, so
-the age cap never enters these formulas.
+the age cap never enters these formulas, and the bound only holds for
+the capped chain while p**m is negligible.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+from .belief import steady_expected_aoi
 from .chain import ChainParams
 
 __all__ = [
@@ -142,7 +144,7 @@ def random_policy_value(sensors: list[ChainParams]) -> float:
     """
     if not sensors:
         raise ValueError("need at least one sensor")
-    return sum((1.0 - s.p**s.m) / (1.0 - s.p) for s in sensors) / len(sensors)
+    return sum(steady_expected_aoi(s) for s in sensors) / len(sensors)
 
 
 def random_policy_value_uniform(p_span: float) -> float:

@@ -167,7 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lb = sub.add_parser("lb", help="self-timed lower bound for an explicit fleet")
     p_lb.add_argument("--p", type=float, nargs="+", required=True, help="failure probabilities")
     p_lb.add_argument("--n", type=int, default=None, help="replicate a single --p this many times")
-    p_lb.add_argument("--m", type=int, default=100, help="age cap (default 100)")
+    p_lb.add_argument("--m", type=int, default=100,
+                      help="age cap (default 100); the bound is for the uncapped chain "
+                           "and does not depend on it")
     p_lb.set_defaults(func=_cmd_lb)
 
     p_se = sub.add_parser("solve-eta", help="tune the cutoff for a fleet or a config's fleet")

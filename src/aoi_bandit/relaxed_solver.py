@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .belief import _table_cached
 from .chain import ChainParams
-from .threshold import NEVER, ThresholdTable, gamma_analytic
+from .threshold import ThresholdTable, gamma_analytic
 
 __all__ = [
     "AbsorbingBranchError",
     "SingularSystemError",
     "RecurrenceSystem",
     "PerSensorRates",
-    "SearchConfig",
     "EtaSolution",
     "build_system",
     "sampling_rate",
@@ -189,17 +188,9 @@ def sensor_rates(params: ChainParams, eta: float) -> PerSensorRates:
     return PerSensorRates(d_bar=float(d_bar), r_bar=float(r_bar))
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs of the cutoff search.
-
-    exhaustive_below: evaluate every candidate (and fully verify that
-        the aggregate rate is monotone) when the grid is at most this
-        large; larger grids are bisected.
-    """
-
-    exhaustive_below: int = 256
-
+# grids of at most this many candidates are evaluated in full, which also
+# verifies that the aggregate rate is monotone; larger grids are bisected
+_EXHAUSTIVE_BELOW = 256
 
 # headroom above the largest attainable branch mean, so that the
 # poll-every-slot regime is always on the grid
@@ -215,6 +206,10 @@ class EtaSolution:
     is the per-poll mean age of the tuned policy, nan when nothing is
     polled. monotone_ok reports the empirical monotonicity check of the
     aggregate rate along the evaluated grid.
+
+    A solution that polls nothing (d_hat = 0.0, active = (), j_value =
+    nan) is a valid result, not an error: solve_eta returns it when no
+    cutoff brings the aggregate rate closer to 1 than 0 does.
     """
 
     eta_star: float
@@ -230,10 +225,6 @@ def _fleet_rates(sensors: list[ChainParams], eta: float) -> list[PerSensorRates]
     return [rates[s] for s in sensors]
 
 
-def _d_hat(sensors: list[ChainParams], eta: float) -> float:
-    return sum(r.d_bar for r in _fleet_rates(sensors, eta))
-
-
 def _pick(evaluated: dict[float, float]) -> float:
     # smallest |d_hat - 1|; on ties prefer the largest cutoff that keeps
     # the budget feasible (d_hat <= 1), otherwise the smallest cutoff
@@ -243,7 +234,7 @@ def _pick(evaluated: dict[float, float]) -> float:
     return max(feasible) if feasible else min(ties)
 
 
-def solve_eta(sensors: list[ChainParams], search: SearchConfig | None = None) -> EtaSolution:
+def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
     """Tune the cutoff so the aggregate poll rate is closest to 1/slot.
 
     Candidate cutoffs are the distinct attainable branch means of all
@@ -253,24 +244,34 @@ def solve_eta(sensors: list[ChainParams], search: SearchConfig | None = None) ->
     scanned outright; large ones are bisected, relying on monotonicity
     of the aggregate rate, which is checked on every cutoff actually
     evaluated and reported via monotone_ok.
+
+    When the aggregate rate jumps from 0 straight to 2 or more, the
+    zero rate is the closest to the budget (or the feasible side of a
+    tie), and the solution polls nothing, without a warning. At m = 2
+    every branch mean equals the stationary mean, so each sensor is
+    polled every slot or never: with n >= 2 such sensors the result is
+    d_hat = 0.0, active = () and j_value = nan (for p = 0.5, m = 2 and
+    n = 3, eta_star = 1.5).
     """
     if not sensors:
         raise ValueError("need at least one sensor")
-    cfg = search or SearchConfig()
     values = np.unique(np.concatenate([_table_cached(s).ravel() for s in sensors]))
     top = max(s.q + s.m * s.p for s in sensors) + _PAD
     values = np.append(values, top)
     mids = (values[1:] + values[:-1]) / 2.0
     grid = np.unique(np.concatenate([values, mids]))
 
+    # aggregate poll rate and per-sensor rates of every evaluated cutoff
     evaluated: dict[float, float] = {}
+    per_sensor: dict[float, list[PerSensorRates]] = {}
 
     def evaluate(eta: float) -> float:
         if eta not in evaluated:
-            evaluated[eta] = _d_hat(sensors, eta)
+            per_sensor[eta] = _fleet_rates(sensors, eta)
+            evaluated[eta] = sum(r.d_bar for r in per_sensor[eta])
         return evaluated[eta]
 
-    if len(grid) <= cfg.exhaustive_below:
+    if len(grid) <= _EXHAUSTIVE_BELOW:
         for eta in grid:
             evaluate(float(eta))
     else:
@@ -298,9 +299,8 @@ def solve_eta(sensors: list[ChainParams], search: SearchConfig | None = None) ->
     if not monotone_ok:
         warnings.warn("aggregate poll rate not monotone on the evaluated grid")
 
-    per = _fleet_rates(sensors, eta_star)
+    per, d_hat = per_sensor[eta_star], evaluated[eta_star]
     active = tuple(i for i, r in enumerate(per) if r.d_bar > 0.0)
-    d_hat = sum(r.d_bar for r in per)
     j_value = sum(r.r_bar for r in per) / d_hat if d_hat > 0 else math.nan
     return EtaSolution(
         eta_star=float(eta_star),

@@ -25,36 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .belief import BranchState, _table_cached
+from .belief import _table_cached
 from .chain import ChainParams, steady_state
 from .threshold import gamma_scan
 
-__all__ = ["SensorWorld", "SimResult", "run_random", "run_greedy", "run_relaxed"]
+__all__ = ["SimResult", "run_random", "run_greedy", "run_relaxed"]
 
 _CHUNK = 131072
 _BATCHES = 20
-
-
-@dataclass(frozen=True)
-class SensorWorld:
-    """Joint state snapshot: true ages plus the scheduler's beliefs."""
-
-    sensors: tuple[ChainParams, ...]
-    true_aoi: tuple[int, ...]
-    beliefs: tuple[BranchState, ...]
-
-    @classmethod
-    def steady(cls, sensors: list[ChainParams], rngs: list[np.random.Generator]) -> "SensorWorld":
-        """Stationary start: ages drawn from the steady state, beliefs
-        at the no-information branch (which equals the steady state)."""
-        ages = tuple(int(rng.choice(s.m, p=steady_state(s))) + 1
-                     for s, rng in zip(sensors, rngs))
-        beliefs = tuple(BranchState.stationary(s.m) for s in sensors)
-        return cls(sensors=tuple(sensors), true_aoi=ages, beliefs=beliefs)
 
 
 @dataclass(frozen=True)
@@ -91,15 +72,6 @@ def _age_path(params: ChainParams, start: int, u: np.ndarray) -> np.ndarray:
     return np.minimum(slots - np.maximum.accumulate(origin), params.m)
 
 
-@lru_cache(maxsize=64)
-def _padded_table(params: ChainParams) -> np.ndarray:
-    # [k, i] is the mean of branch (k, i); read-only, shared by a trial's runs
-    padded = np.zeros((params.m + 1, params.m))
-    padded[1:, 1:] = _table_cached(params)
-    padded.setflags(write=False)
-    return padded
-
-
 def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> SimResult:
     """Run one policy from the stationary start and account its polls.
 
@@ -119,16 +91,18 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
     mlen = horizon - burn
     nb = _BATCHES if mlen >= _BATCHES else 1
     *s_rngs, p_rng = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n + 1)]
-    world = SensorWorld.steady(sensors, s_rngs)
     m = np.array([s.m for s in sensors])
     obs, last = m.copy(), 1 - m  # every belief starts at the stationary branch (m, m - 1)
-    # all padded tables in one flat array; sensor s starts at offset[s]
-    tables = [_padded_table(s).ravel() for s in sensors]
-    flat, offset = np.concatenate(tables), np.cumsum([0] + [len(t) for t in tables[:-1]])
+    # all tables in one flat array; branch (k, i) of sensor s sits at
+    # offset[s] + (k - 1)(m - 1) + i - 1 = base[s] + k (m - 1) + i
+    tables = [_table_cached(s).ravel() for s in sensors]
+    flat = np.concatenate(tables)
+    base = np.cumsum([0] + [len(t) for t in tables[:-1]]) - m
 
     exp_sum, counts = 0.0, np.zeros(n, dtype=np.int64)
     b_obs, b_cnt = np.zeros(nb), np.zeros(nb, dtype=np.int64)
-    ages = np.array([world.true_aoi]).T  # the last column starts the next chunk
+    # stationary starting ages; the last column starts the next chunk
+    ages = np.array([[rng.choice(s.m, p=steady_state(s)) + 1] for s, rng in zip(sensors, s_rngs)])
     for t0 in range(0, horizon, _CHUNK):
         u = [rng.random(min(_CHUNK, horizon - t0)) for rng in s_rngs]
         ages = np.array([_age_path(s, a, x) for s, a, x in zip(sensors, ages[:, -1].tolist(), u)])
@@ -141,9 +115,9 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
         head, tail = np.diff(g_who, prepend=-1) != 0, np.diff(g_who, append=n) != 0
         prev_obs, prev_last = np.roll(g_seen, 1), np.roll(g_slot, 1)
         prev_obs[head], prev_last[head] = obs[g_who[head]], last[g_who[head]]
-        mg = m[g_who]
+        mg1 = m[g_who] - 1
         value = np.empty(len(slots))
-        value[order] = flat[offset[g_who] + prev_obs * mg + np.minimum(g_slot - prev_last, mg - 1)]
+        value[order] = flat[base[g_who] + prev_obs * mg1 + np.minimum(g_slot - prev_last, mg1)]
         obs[g_who[tail]], last[g_who[tail]] = g_seen[tail], g_slot[tail]
         lo = int(np.searchsorted(slots, burn))
         # summed in poll order: a pairwise sum would round differently
@@ -167,22 +141,24 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
 
 def run_greedy(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult:
     """Each slot polls the sensor with the smallest branch mean, lowest index on ties."""
-    tabs = [_padded_table(s).tolist() for s in sensors]
-    order, isat = range(len(sensors)), [s.m - 1 for s in sensors]
+    tabs = [_table_cached(s).tolist() for s in sensors]
+    order, isat = range(len(sensors)), [s.m - 2 for s in sensors]
 
     def polls(t0, ages, obs, last, p_rng):
-        # each sensor's current table row and last-poll slot
-        rows = [tab[o] for tab, o in zip(tabs, obs.tolist())]
-        at, seen, picks = last.tolist(), ages.tolist(), []
-        for t in range(t0, t0 + ages.shape[1]):
+        # each sensor's current table row, and the chunk offset of the slot
+        # after its last poll, where the row's first entry (i = 1) applies;
+        # a poll that sees age a moves the sensor to row a - 1, which seen holds
+        rows = [tab[o - 1] for tab, o in zip(tabs, obs.tolist())]
+        at, seen, picks = (last + 1 - t0).tolist(), (ages - 1).tolist(), []
+        for j in range(ages.shape[1]):
             best, bv = 0, math.inf
             for s in order:
-                d = t - at[s]
+                d = j - at[s]
                 v = rows[s][d if d < isat[s] else isat[s]]
                 if v < bv:
                     best, bv = s, v
             picks.append(best)
-            rows[best], at[best] = tabs[best][seen[best][t - t0]], t
+            rows[best], at[best] = tabs[best][seen[best][j]], j + 1
         return np.arange(t0, t0 + len(picks)), np.array(picks)
 
     return _simulate(sensors, horizon, seed, polls)

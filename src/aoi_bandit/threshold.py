@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .belief import _table_cached
+from .belief import _table_cached, steady_expected_aoi
 from .chain import ChainParams
 
 __all__ = ["NEVER", "ThresholdTable", "lambert_w0", "gamma_scan", "gamma_analytic"]
@@ -150,8 +150,7 @@ def gamma_analytic(params: ChainParams, eta: float) -> ThresholdTable:
         # the largest attainable mean sits at the oldest one-slot branch
         return ThresholdTable(eta=eta, gamma=(1,) * m)
 
-    hbar = (1.0 - p**m) / (1.0 - p)
-    if eta <= hbar:
+    if eta <= steady_expected_aoi(params):
         # every branch either starts below the cutoff or never crosses
         # it; compare against the tabulated means so that cutoffs within
         # rounding distance of the stationary mean behave like the scan

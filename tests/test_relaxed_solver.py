@@ -9,7 +9,6 @@ from aoi_bandit import (
     AbsorbingBranchError,
     BranchState,
     ChainParams,
-    SearchConfig,
     aoi_rate,
     branch_belief,
     build_system,
@@ -197,10 +196,12 @@ def test_solve_eta_order_invariant():
     assert tuple(2 - i for i in reversed(b.active)) == a.active
 
 
-def test_solve_eta_bisection_matches_exhaustive():
+def test_solve_eta_bisection_matches_exhaustive(monkeypatch):
     fleet = [ChainParams(p=0.5, m=8), ChainParams(p=0.7, m=8)]
-    full = solve_eta(fleet, SearchConfig(exhaustive_below=10_000))
-    narrowed = solve_eta(fleet, SearchConfig(exhaustive_below=4))
+    monkeypatch.setattr(relaxed_solver, "_EXHAUSTIVE_BELOW", 10_000)
+    full = solve_eta(fleet)
+    monkeypatch.setattr(relaxed_solver, "_EXHAUSTIVE_BELOW", 4)
+    narrowed = solve_eta(fleet)
     assert abs(narrowed.d_hat - 1.0) <= abs(full.d_hat - 1.0) + 1e-15
     assert narrowed.d_hat == pytest.approx(full.d_hat, abs=1e-12)
 
@@ -224,9 +225,9 @@ def test_identical_sensors_are_solved_once(monkeypatch):
 
     monkeypatch.setattr(relaxed_solver, "sensor_rates", counting)
     sol = solve_eta([sensor] * 4)
-    # one call per evaluated cutoff, plus the final rates at eta_star
+    # one call per evaluated cutoff, eta_star included
     seen = Counter(calls)
-    assert seen.pop(sol.eta_star) == 2
+    assert sol.eta_star in seen
     assert set(seen.values()) == {1}
     per = [real(sensor, sol.eta_star)] * 4
     assert sol.d_hat == sum(r.d_bar for r in per)
@@ -237,3 +238,15 @@ def test_identical_sensors_are_solved_once(monkeypatch):
     per = [real(s, mixed.eta_star) for s in fleet]
     assert mixed.d_hat == sum(r.d_bar for r in per)
     assert mixed.j_value == sum(r.r_bar for r in per) / mixed.d_hat
+
+
+def test_solve_eta_polls_nothing_when_zero_is_closest():
+    # at m = 2 every branch mean is the stationary mean 1.5, so each
+    # sensor is polled every slot or never and the aggregate rate jumps
+    # from 0 to 3: zero is the closest to the budget
+    solution = solve_eta([ChainParams(p=0.5, m=2)] * 3)
+    assert solution.eta_star == 1.5
+    assert solution.d_hat == 0.0
+    assert solution.active == ()
+    assert math.isnan(solution.j_value)
+    assert solution.monotone_ok

@@ -8,7 +8,6 @@ from scipy import stats
 from aoi_bandit import (
     BranchState,
     ChainParams,
-    SensorWorld,
     branch_belief,
     evolve,
     expected_aoi_table,
@@ -168,6 +167,26 @@ def test_chunk_boundaries_change_nothing(monkeypatch, run):
     assert run() == whole
 
 
+def test_policies_see_common_true_ages(monkeypatch):
+    # true ages come only from each sensor's own stream, so every policy
+    # run at one seed builds the same age paths, chunk by chunk
+    real, paths = sim._age_path, []
+
+    def recording(params, start, u):
+        paths[-1].append(real(params, start, u))
+        return paths[-1][-1]
+
+    monkeypatch.setattr(sim, "_age_path", recording)
+    monkeypatch.setattr(sim, "_CHUNK", 97)
+    for run in (run_greedy, run_random, lambda f, h, s: run_relaxed(f, 4.2, h, s)):
+        paths.append([])
+        run(MIXED, 2000, 8)
+    assert len(paths[0]) == 3 * math.ceil(2000 / 97)
+    for other in paths[1:]:
+        assert len(other) == len(paths[0])
+        assert all(np.array_equal(a, b) for a, b in zip(paths[0], other))
+
+
 def test_runs_are_reproducible():
     a = run_greedy(FLEET, 3000, seed=42)
     b = run_greedy(FLEET, 3000, seed=42)
@@ -271,15 +290,6 @@ def test_observed_age_follows_branch_belief():
         assert result.pvalue > 0.01, (k, i, result.pvalue)
         tested += 1
     assert tested >= 1
-
-
-def test_world_steady_snapshot():
-    rngs = [np.random.default_rng(i) for i in range(2)]
-    world = SensorWorld.steady(FLEET, rngs)
-    for age, sensor in zip(world.true_aoi, FLEET):
-        assert 1 <= age <= sensor.m
-    for belief, sensor in zip(world.beliefs, FLEET):
-        assert (belief.k, belief.i) == (sensor.m, sensor.m - 1)
 
 
 def test_argument_errors():
