@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,13 +267,12 @@ def run_scenario(config: ScenarioConfig, out_path=None, jobs: int = 1) -> list[d
         for trial in range(config.trials)
     ]
     per_x: list[list[dict]] = [[] for _ in config.sweep]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for x_idx, res in pool.map(_worker, tasks):
-                per_x[x_idx].append(res)
-    else:
-        for task in tasks:
-            x_idx, res = _worker(task)
+    with ExitStack() as stack:
+        # both maps hand results back in task order
+        mapper = map
+        if jobs > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        for x_idx, res in mapper(_worker, tasks):
             per_x[x_idx].append(res)
     rows = [_aggregate(config, x_idx, trials) for x_idx, trials in enumerate(per_x)]
     if out_path is not None:

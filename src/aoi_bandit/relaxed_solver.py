@@ -72,17 +72,17 @@ def build_system(params: ChainParams, table: ThresholdTable) -> RecurrenceSystem
         )
     m, p, q = params.m, params.p, params.q
     gammas = table.finite()
-    abar = _table_cached(params)
-    rows = np.zeros((m, m))
-    ks = np.arange(1, m + 1)
-    for g in sorted(set(gammas)):
-        idx = np.flatnonzero(np.array(gammas) == g)
-        rows[np.ix_(idx, np.arange(g))] = q * p ** np.arange(g, dtype=float)
-        tails = np.minimum(g + ks[idx], m) - 1
-        rows[idx, tails] += p**g
-    rewards = abar[np.arange(m), np.array(gammas) - 1]
+    # j runs over branches (k - 1) and over ages (a - 1). Row k holds the
+    # fresh-reset masses q p**(a - 1) at ages a <= gamma_k and the
+    # no-delivery mass p**gamma_k at age min(gamma_k + k, m); that mass
+    # takes Python's pow, as branch_belief does, since numpy's array
+    # power can differ from it in the last bit
+    g, j = np.array(gammas), np.arange(m)
+    rows = np.where(j < g[:, None], q * p ** j.astype(float), 0.0)
+    rows[j, np.minimum(g + j + 1, m) - 1] += [p**x for x in gammas]
+    rewards = _table_cached(params)[j, g - 1]
     return RecurrenceSystem(
-        params=params, eta=float(table.eta), gammas=gammas, rows=rows, rewards=rewards.copy()
+        params=params, eta=float(table.eta), gammas=gammas, rows=rows, rewards=rewards
     )
 
 
@@ -103,7 +103,7 @@ def _affine_rates(system: RecurrenceSystem, targets: np.ndarray) -> np.ndarray:
             f"renewal system singular: p={system.params.p}, m={m}, "
             f"spacings={sorted(set(system.gammas))}"
         ) from err
-    return -u[m - 1] if targets.ndim == 1 else -u[m - 1, :]
+    return -u[m - 1]
 
 
 def sampling_rate(system: RecurrenceSystem) -> float:

@@ -20,6 +20,10 @@ NEVER = math.inf  # branch whose mean age never drops below eta
 
 _BRANCH_POINT = -math.exp(-1.0)
 
+# Halley iteration of lambert_w0: relative step tolerance and step cap
+_W_TOL = 1e-12
+_W_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class ThresholdTable:
@@ -47,7 +51,7 @@ class ThresholdTable:
         return tuple(int(g) for g in self.gamma)
 
 
-def lambert_w0(z: float, tol: float = 1e-12, max_iter: int = 100) -> float:
+def lambert_w0(z: float) -> float:
     """Principal branch W0 of w * exp(w) = z via Halley iteration.
 
     Defined for z >= -1/e; arguments within 1e-12 below the branch point
@@ -75,7 +79,7 @@ def lambert_w0(z: float, tol: float = 1e-12, max_iter: int = 100) -> float:
     else:
         r = math.sqrt(s)
         w = -1.0 + r - s / 3.0 + 11.0 / 72.0 * r * s
-    for _ in range(max_iter):
+    for _ in range(_W_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - z
         if f == 0.0:
@@ -83,7 +87,7 @@ def lambert_w0(z: float, tol: float = 1e-12, max_iter: int = 100) -> float:
         wp1 = w + 1.0
         step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
         w -= step
-        if abs(step) <= tol * (1.0 + abs(w)):
+        if abs(step) <= _W_TOL * (1.0 + abs(w)):
             break
     return max(w, -1.0)
 
@@ -105,30 +109,6 @@ def _scan_row(row, eta: float) -> float:
     return NEVER
 
 
-def _first_crossing(row, guess: int, eta: float, m: int) -> float:
-    # snap an analytic candidate onto the first index with mean < eta;
-    # rounding can land one slot off on exact-boundary inputs
-    g = min(max(guess, 1), m - 1)
-    moved = 0
-    while g < m - 1 and row[g - 1] >= eta:
-        g += 1
-        moved += 1
-        if moved > 2:
-            return _scan_row(row, eta)
-    if row[g - 1] >= eta:
-        return _scan_row(row, eta)
-    while g > 1 and row[g - 2] < eta:
-        g -= 1
-        moved += 1
-        if moved > 4:
-            return _scan_row(row, eta)
-    if g > 1 and (row[: g - 1] < eta).any():
-        # cutoffs within rounding distance of the row's flat tail can
-        # break the single-crossing shape; defer to the literal scan
-        return _scan_row(row, eta)
-    return g
-
-
 def gamma_analytic(params: ChainParams, eta: float) -> ThresholdTable:
     """Closed-form thresholds, exactly matching gamma_scan.
 
@@ -136,11 +116,12 @@ def gamma_analytic(params: ChainParams, eta: float) -> ThresholdTable:
     branch qualifies immediately; below the stationary mean a branch
     either starts qualified or never qualifies; in between the crossing
     slot solves the branch-mean equation, through W0 when the crossing
-    falls in the saturated phase and through a plain logarithm when it
-    falls in the pre-saturation phase. Candidates are rounded with a
-    1e-9 nudge and snapped to the scan semantics, and the two branches
-    next to the age cap (whose phase split is degenerate) are scanned
-    directly.
+    falls in the saturated phase (the same slot for every branch, so W0
+    is evaluated once per call) and through a plain logarithm when it
+    falls in the pre-saturation phase. Each candidate slot
+    ceil(x - 1e-9) is kept when the table confirms it is the first entry
+    below eta; otherwise, and for the two branches next to the age cap
+    (whose phase split is degenerate), the row is scanned.
     """
     m, p = params.m, params.p
     eta = float(eta)
@@ -158,31 +139,33 @@ def gamma_analytic(params: ChainParams, eta: float) -> ThresholdTable:
 
     lnp = math.log(p)
     inv = 1.0 / (1.0 - p)
-    psi_eta = inv - eta
-    psi_m = inv - m
+    x_sat = _saturated_crossing(inv - eta, inv - m, lnp)
     gamma = []
     for k in range(1, m + 1):
         row = abar[k - 1]
         if row[0] < eta:
             gamma.append(1)
             continue
-        if k >= m - 1:
-            gamma.append(_scan_row(row, eta))
-            continue
-        if k * (1.0 - p) <= 1.0:
-            x = _saturated_crossing(psi_eta, psi_m, lnp)
-        else:
-            if row[m - k - 2] > eta:
-                x = _saturated_crossing(psi_eta, psi_m, lnp)
+        x = None
+        if k < m - 1:
+            if k * (1.0 - p) <= 1.0 or row[m - k - 2] > eta:
+                x = x_sat
             else:
                 ratio = (1.0 - eta * (1.0 - p)) / (1.0 - k * (1.0 - p))
                 x = math.log(ratio) / lnp if ratio > 0.0 else None
-        if x is None or not math.isfinite(x):
-            gamma.append(_scan_row(row, eta))
-            continue
-        guess = math.ceil(x - 1e-9)
-        gamma.append(_first_crossing(row, guess, eta, m))
+        gamma.append(_keep_or_scan(row, x, eta))
     return ThresholdTable(eta=eta, gamma=tuple(gamma))
+
+
+def _keep_or_scan(row, x: float | None, eta: float) -> float:
+    # rounding can put the closed-form slot one off on exact-boundary
+    # cutoffs, and cutoffs near the row's flat tail can break its
+    # single-crossing shape: keep the slot only when the table confirms it
+    if x is not None and math.isfinite(x):
+        g = math.ceil(x - 1e-9)
+        if 1 <= g <= len(row) and row[g - 1] < eta and not (row[: g - 1] < eta).any():
+            return g
+    return _scan_row(row, eta)
 
 
 def _saturated_crossing(psi_eta: float, psi_m: float, lnp: float) -> float | None:

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 import aoi_bandit as ab
 from aoi_bandit.cli import main as cli_main
@@ -299,3 +300,33 @@ def test_10_csv_determinism(tmp_path, report):
     report(10, "csv-determinism", ok, elapsed)
     assert payloads[0] == payloads[1]
     assert payloads[0] == payloads[2]
+
+
+def test_11_paired_greedy_gap(report):
+    # greedy and the tuned cutoff policy run at the same seeds see the same
+    # true-age paths (common random numbers), so the per-seed difference of
+    # their realized values carries far less noise than two independently
+    # seeded runs; the t-CI of its mean must sit inside acceptance 06's bound
+    t0 = time.perf_counter()
+    horizon, seeds = 10_000, range(40)
+    quant = float(stdtrit(len(seeds) - 1, 0.975))
+    inside = {}
+    for kind, n, x in (("asym_uniform", 8, 0.6), ("asym_gaussian", 12, 0.15)):
+        config = ab.load_config({"kind": kind, "n": n, "sweep": [x], "trials": 1,
+                                 "horizon": horizon, "m": 100, "seed": 8})
+        sensors = ab.trial_fleet(config)
+        sol = ab.solve_eta(sensors)
+        gaps = np.array([
+            ab.run_greedy(sensors, horizon, s).j_realized
+            - ab.run_relaxed(sensors, sol.eta_star, horizon, s).j_realized
+            for s in seeds
+        ])
+        half = quant * gaps.std(ddof=1) / math.sqrt(len(gaps))
+        bound = 0.025 * sol.j_value
+        print(f"{kind} n={n} x={x}: mean gap {gaps.mean():.5f} +- {half:.5f}, bound {bound:.5f}")
+        inside[kind] = -bound <= gaps.mean() - half and gaps.mean() + half <= bound
+    elapsed = time.perf_counter() - t0
+    ok = all(inside.values()) and elapsed < 10.0
+    report(11, "paired-greedy-gap", ok, elapsed)
+    assert inside == {"asym_uniform": True, "asym_gaussian": True}
+    assert elapsed < 10.0

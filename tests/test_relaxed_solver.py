@@ -14,6 +14,7 @@ from aoi_bandit import (
     build_system,
     build_transition,
     expected_aoi,
+    expected_aoi_table,
     gamma_analytic,
     iterate_recurrence,
     relaxed_performance,
@@ -31,22 +32,32 @@ def _mid_eta(params, u=0.5):
     return hbar + u * (top - hbar)
 
 
-@pytest.mark.parametrize("p", [0.3, 0.8])
-@pytest.mark.parametrize("m", [4, 10])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.8])
+@pytest.mark.parametrize("m", [2, 4, 10])
 def test_system_rows_match_matrix_power(p, m):
-    # row k must be the age distribution gamma_k slots after seeing k
+    # row k must be the age distribution gamma_k slots after seeing k:
+    # bit for bit the closed-form branch belief, and the gamma_k-step
+    # transition matrix to rounding; every finite table of the sensor
     params = ChainParams(p=p, m=m)
-    system = build_system(params, gamma_analytic(params, _mid_eta(params)))
     t = build_transition(params)
-    for k in range(1, m + 1):
-        g = system.gammas[k - 1]
-        vec = np.zeros(m)
-        vec[k - 1] = 1.0
-        vec = vec @ np.linalg.matrix_power(t, g)
-        assert np.max(np.abs(system.rows[k - 1] - vec)) < 1e-10
-        want = expected_aoi(params, BranchState(k=k, i=g, m=m))
-        assert abs(system.rewards[k - 1] - want) < 1e-12
-        assert system.rewards[k - 1] < system.eta
+    top = params.q + params.m * params.p
+    etas = [_mid_eta(params), top + 1.0] + np.unique(expected_aoi_table(params)).tolist()
+    built = 0
+    for eta in etas:
+        table = gamma_analytic(params, eta)
+        if table.has_never:
+            continue
+        built += 1
+        system = build_system(params, table)
+        for k in range(1, m + 1):
+            g = system.gammas[k - 1]
+            state = BranchState(k=k, i=g, m=m)
+            assert np.array_equal(system.rows[k - 1], branch_belief(params, state))
+            vec = np.linalg.matrix_power(t, g)[k - 1]
+            assert np.max(np.abs(system.rows[k - 1] - vec)) < 1e-10
+            assert abs(system.rewards[k - 1] - expected_aoi(params, state)) < 1e-12
+            assert system.rewards[k - 1] < system.eta
+    assert built > 0
 
 
 def test_system_rejects_abandoned_branches():

@@ -14,6 +14,7 @@ from aoi_bandit import (
     lambert_w0,
     steady_expected_aoi,
 )
+from aoi_bandit import threshold
 
 
 def test_lambert_anchors_exact():
@@ -115,6 +116,9 @@ def _eta_candidates(params, count):
     etas.extend(picks.tolist())
     etas.extend((picks + 1e-12).tolist())
     etas.extend((picks - 1e-12).tolist())
+    # one-ulp neighbours: 1e-12 is many ulps away from entries above 1
+    etas.extend(np.nextafter(picks, np.inf).tolist())
+    etas.extend(np.nextafter(picks, -np.inf).tolist())
     mids = (vals[1:] + vals[:-1]) / 2.0
     etas.extend(mids[:: max(1, len(mids) // count)].tolist())
     etas.append(steady_expected_aoi(params))
@@ -127,6 +131,28 @@ def test_analytic_matches_scan(m):
         params = ChainParams(p=p, m=m)
         for eta in _eta_candidates(params, 12):
             assert gamma_analytic(params, eta).gamma == gamma_scan(params, eta).gamma, (p, m, eta)
+
+
+def test_analytic_evaluates_w0_at_most_once(monkeypatch):
+    # the saturated-phase crossing does not depend on the branch, so one
+    # W0 per cutoff serves every branch of the table
+    calls = []
+    real = threshold.lambert_w0
+
+    def counted(z):
+        calls.append(z)
+        return real(z)
+
+    monkeypatch.setattr(threshold, "lambert_w0", counted)
+    total = 0
+    for p in (0.3, 0.6, 0.9):
+        params = ChainParams(p=p, m=60)
+        for eta in _eta_candidates(params, 12):
+            calls.clear()
+            gamma_analytic(params, eta)
+            assert len(calls) <= 1, (p, eta, len(calls))
+            total += len(calls)
+    assert total > 0
 
 
 def test_analytic_matches_scan_degenerate_channel():
