@@ -8,8 +8,8 @@ and its mean age are available without any matrix products.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,11 +109,16 @@ def expected_aoi_table(params: ChainParams) -> np.ndarray:
     return base[None, :] + pi_[None, :] * reach
 
 
-@lru_cache(maxsize=256)
+_TABLES = weakref.WeakKeyDictionary()
+
+
 def _table_cached(params: ChainParams) -> np.ndarray:
-    # shared read-only copy for the hot search paths
-    table = expected_aoi_table(params)
-    table.setflags(write=False)
+    # shared read-only copy for the hot search paths, one per distinct
+    # sensor; it goes when the sensor that first asked for it does
+    table = _TABLES.get(params)
+    if table is None:
+        table = _TABLES[params] = expected_aoi_table(params)
+        table.setflags(write=False)
     return table
 
 

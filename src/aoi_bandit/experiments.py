@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from scipy.special import stdtrit
@@ -112,11 +112,11 @@ def load_config(source) -> ScenarioConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-    known = {"kind", "n", "sweep", "trials", "horizon", "m", "seed"}
-    unknown = set(raw) - known
+    schema = fields(ScenarioConfig)
+    unknown = set(raw) - {f.name for f in schema}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"kind", "n", "sweep", "trials", "horizon"} - set(raw)
+    missing = {f.name for f in schema if f.default is MISSING} - set(raw)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     sweep = raw["sweep"]
@@ -124,15 +124,6 @@ def load_config(source) -> ScenarioConfig:
         raise ConfigError("sweep must be a list of numbers")
     raw["sweep"] = tuple(float(x) for x in sweep)
     return ScenarioConfig(**raw)
-
-
-def _check_probs(ps, kind: str, x: float) -> list[float]:
-    for p in ps:
-        if not 0.0 <= p < 1.0:
-            raise ConfigError(
-                f"{kind} at x={x} puts a success probability at {p}, outside [0, 1)"
-            )
-    return [float(p) for p in ps]
 
 
 def gen_sensors(config: ScenarioConfig, x: float, draw_rng: np.random.Generator) -> list[ChainParams]:
@@ -154,8 +145,10 @@ def gen_sensors(config: ScenarioConfig, x: float, draw_rng: np.random.Generator)
         while bad.any():
             ps[bad] = draw_rng.normal(0.5, x, int(bad.sum()))
             bad = (ps <= 0.0) | (ps >= 1.0)
-    ps = _check_probs(ps, config.kind, x)
-    return [ChainParams(p=p, m=config.m) for p in ps]
+    try:
+        return [ChainParams(p=float(p), m=config.m) for p in ps]
+    except ValueError as exc:
+        raise ConfigError(f"{config.kind} at x={x}: {exc}") from exc
 
 
 def _t_quantile(df: int) -> float:

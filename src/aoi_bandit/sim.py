@@ -141,13 +141,19 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
 
 def run_greedy(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult:
     """Each slot polls the sensor with the smallest branch mean, lowest index on ties."""
-    tabs = [_table_cached(s).tolist() for s in sensors]
+    tables = [_table_cached(s) for s in sensors]
     order, isat = range(len(sensors)), [s.m - 2 for s in sensors]
 
     def polls(t0, ages, obs, last, p_rng):
-        # each sensor's current table row, and the chunk offset of the slot
-        # after its last poll, where the row's first entry (i = 1) applies;
-        # a poll that sees age a moves the sensor to row a - 1, which seen holds
+        # as lists, only the table rows the chunk can reach: each sensor's
+        # current row and the rows of the ages on its path, since a poll
+        # that sees age a moves the sensor to row a - 1, which seen holds
+        tabs = []
+        for table, path, o in zip(tables, ages, obs.tolist()):
+            idx = np.flatnonzero(np.bincount(np.r_[o, path] - 1))
+            tabs.append(dict(zip(idx.tolist(), table[idx].tolist())))
+        # each sensor's current row, and the chunk offset of the slot after
+        # its last poll, where the row's first entry (i = 1) applies
         rows = [tab[o - 1] for tab, o in zip(tabs, obs.tolist())]
         at, seen, picks = (last + 1 - t0).tolist(), (ages - 1).tolist(), []
         for j in range(ages.shape[1]):

@@ -94,19 +94,15 @@ def lambert_w0(z: float) -> float:
 
 def gamma_scan(params: ChainParams, eta: float) -> ThresholdTable:
     """Reference thresholds by direct scan of the branch-mean table."""
-    abar = _table_cached(params)
-    below = abar < eta
-    has = below.any(axis=1)
-    first = below.argmax(axis=1) + 1
-    gamma = tuple(int(f) if h else NEVER for f, h in zip(first, has))
+    gamma = tuple(_first_below(_table_cached(params), eta))
     return ThresholdTable(eta=float(eta), gamma=gamma)
 
 
-def _scan_row(row, eta: float) -> float:
-    for idx, value in enumerate(row):
-        if value < eta:
-            return idx + 1
-    return NEVER
+def _first_below(rows, eta: float) -> list:
+    # per row, the 1-based index of its first entry below eta, or NEVER
+    below = rows < eta
+    first = (below.argmax(axis=1) + 1).tolist()
+    return [f if h else NEVER for f, h in zip(first, below.any(axis=1).tolist())]
 
 
 def gamma_analytic(params: ChainParams, eta: float) -> ThresholdTable:
@@ -165,7 +161,7 @@ def _keep_or_scan(row, x: float | None, eta: float) -> float:
         g = math.ceil(x - 1e-9)
         if 1 <= g <= len(row) and row[g - 1] < eta and not (row[: g - 1] < eta).any():
             return g
-    return _scan_row(row, eta)
+    return _first_below(row[None], eta)[0]
 
 
 def _saturated_crossing(psi_eta: float, psi_m: float, lnp: float) -> float | None:

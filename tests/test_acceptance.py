@@ -6,6 +6,7 @@ sweeps are computed once in session fixtures and shared by the tests that
 grade them.  All seeds are pinned; every check is deterministic.
 """
 
+import contextlib
 import json
 import math
 import time
@@ -21,14 +22,18 @@ from aoi_bandit.cli import main as cli_main
 @pytest.fixture(scope="session")
 def report(request):
     reporter = request.config.pluginmanager.get_plugin("terminalreporter")
+    capman = request.config.pluginmanager.get_plugin("capturemanager")
 
     def emit(number, label, ok, elapsed):
         line = f"[acceptance] {number:02d} {label}: {'PASS' if ok else 'FAIL'} ({elapsed:.1f}s)"
-        if reporter is not None:
+        if reporter is None:
+            print(line, flush=True)
+            return
+        # the verdict is written while the test runs, so step outside the
+        # output capture or it lands in the captured log instead
+        with capman.global_and_fixture_disabled() if capman else contextlib.nullcontext():
             reporter.ensure_newline()
             reporter.write_line(line)
-        else:
-            print(line, flush=True)
 
     return emit
 

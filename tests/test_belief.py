@@ -1,4 +1,7 @@
 """Posterior age beliefs between polls and their mean-age table."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from aoi_bandit import (
     steady_expected_aoi,
     steady_state,
 )
+from aoi_bandit import belief
+from aoi_bandit.experiments import load_config, run_scenario
 
 
 def test_state_validation():
@@ -106,6 +111,35 @@ def test_table_matches_scalar():
     for k in range(1, 13):
         for i in range(1, 12):
             assert abs(table[k - 1, i - 1] - expected_aoi(params, BranchState(k=k, i=i, m=12))) < 1e-12
+
+
+def test_equal_sensors_share_one_read_only_table():
+    a, b = ChainParams(p=0.37, m=9), ChainParams(p=0.37, m=9)
+    assert a is not b
+    table = belief._table_cached(a)
+    assert belief._table_cached(b) is table
+    assert not table.flags.writeable
+    assert np.array_equal(table, expected_aoi_table(a))
+
+
+def test_tables_go_with_their_fleets(monkeypatch):
+    # a trial drops its fleet when it ends, and the fleet's tables with it
+    built = []
+    real = belief.expected_aoi_table
+
+    def recorded(params):
+        table = real(params)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(belief, "expected_aoi_table", recorded)
+    run_scenario(load_config({
+        "kind": "asym_gaussian", "n": 3, "sweep": [0.1, 0.2], "trials": 2,
+        "horizon": 200, "m": 8, "seed": 5,
+    }))
+    gc.collect()
+    assert len(built) >= 6
+    assert all(ref() is None for ref in built)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 0.95])

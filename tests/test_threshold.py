@@ -159,3 +159,37 @@ def test_analytic_matches_scan_degenerate_channel():
     params = ChainParams(p=0.0, m=5)
     for eta in (0.5, 1.0, 1.0 + 1e-9, 2.0):
         assert gamma_analytic(params, eta).gamma == gamma_scan(params, eta).gamma
+
+
+def test_closed_form_slot_is_usually_kept(monkeypatch):
+    # gamma_analytic keeps a closed-form slot only when the table confirms
+    # it and scans the row otherwise, so its equality with gamma_scan holds
+    # whatever the closed form says; this pins that the closed form itself
+    # finds the crossing, on the cutoffs of acceptance 02
+    kept = []
+    real = threshold._keep_or_scan
+
+    def counted(row, x, eta):
+        g = real(row, x, eta)
+        kept.append(x is not None and math.isfinite(x) and g == math.ceil(x - 1e-9))
+        return g
+
+    monkeypatch.setattr(threshold, "_keep_or_scan", counted)
+    rng = np.random.default_rng(20250802)
+    for p in [round(0.05 * step, 2) for step in range(1, 20)]:
+        for m in (3, 10, 50, 100):
+            params = ChainParams(p=p, m=m)
+            flat = np.unique(expected_aoi_table(params).ravel())
+            top = float(flat[-1])
+            etas = list(np.linspace(0.9, top + 0.6, 40))
+            for v in rng.choice(flat, size=min(40, flat.size), replace=False):
+                etas += [float(v), float(v) - 1e-12, float(v) + 1e-12]
+            mids = (flat[:-1] + flat[1:]) / 2.0
+            if mids.size:
+                etas += rng.choice(mids, size=min(40, mids.size), replace=False).tolist()
+            hbar = steady_expected_aoi(params)
+            etas += [hbar, hbar - 1e-12, hbar + 1e-12, 1.0, 1.0 + 1e-12, top, top - 1e-12]
+            for eta in etas:
+                gamma_analytic(params, eta)
+    assert len(kept) > 100_000
+    assert sum(kept) / len(kept) >= 0.9
