@@ -26,7 +26,7 @@ from scipy.special import stdtrit
 from .baselines import lower_bound, random_policy_value
 from .chain import ChainParams
 from .relaxed_solver import solve_eta
-from .sim import SimResult, run_greedy, run_random, run_relaxed
+from .sim import run_greedy, run_random, run_relaxed
 
 __all__ = [
     "ConfigError",
@@ -157,12 +157,17 @@ def _t_quantile(df: int) -> float:
     return float(stdtrit(df, 0.5 + _CONF / 2.0))
 
 
-def _batch_halfwidth(result: SimResult) -> float:
-    means = result.batch_means
-    if len(means) < 2:
+def _halfwidth(values) -> float:
+    # _CONF t-interval half-width of the mean; nan below two values
+    if len(values) < 2:
         return math.nan
-    s = float(np.std(means, ddof=1))
-    return _t_quantile(len(means) - 1) * s / math.sqrt(len(means))
+    s = float(np.std(values, ddof=1))
+    return _t_quantile(len(values) - 1) * s / math.sqrt(len(values))
+
+
+def _widest(halfwidths) -> float:
+    # unlike the builtin max, a nan half-width (no interval) wins
+    return float(np.max(halfwidths))
 
 
 def _trial_seeds(config: ScenarioConfig, x_idx: int, trial: int) -> list[int]:
@@ -199,35 +204,36 @@ def _run_trial(config: ScenarioConfig, x_idx: int, trial: int) -> dict:
         "j_greedy_sim": r_greedy.j_realized,
         "eta_star": sol.eta_star,
         "d_hat": sol.d_hat,
-        "ci_trial": max(
-            _batch_halfwidth(r_rand), _batch_halfwidth(r_rel), _batch_halfwidth(r_greedy)
-        ),
+        "ci_trial": _widest([_halfwidth(r.batch_means) for r in (r_rand, r_rel, r_greedy)]),
     }
 
 
 def _worker(task):
     config, x_idx, trial = task
     try:
-        return x_idx, _run_trial(config, x_idx, trial)
+        return x_idx, trial, _run_trial(config, x_idx, trial)
     except ConfigError:
         raise
     except Exception as exc:
         # the trial failed numerically: flag it on its row, do not drop it
-        return x_idx, {"__error__": f"{type(exc).__name__}: {exc}"}
+        return x_idx, trial, {"__error__": f"{type(exc).__name__}: {exc}"}
 
 
 _SIM_COLS = ("j_random_sim", "j_relaxed_sim", "j_greedy_sim")
 
 
-def _aggregate(config: ScenarioConfig, x_idx: int, trials: list[dict]) -> dict:
+def _aggregate(config: ScenarioConfig, x_idx: int, trials: list[tuple[int, dict]]) -> dict:
+    # trials holds (trial index, result) pairs
     x = config.sweep[x_idx]
-    errors = [t["__error__"] for t in trials if "__error__" in t]
-    good = [t for t in trials if "__error__" not in t]
+    errors = [(i, t["__error__"]) for i, t in trials if "__error__" in t]
+    good = [t for _, t in trials if "__error__" not in t]
     if errors:
         print(
-            f"row x={x}: {len(errors)}/{len(trials)} trials failed ({errors[0]})",
+            f"row x={x}: {len(errors)}/{len(trials)} trials failed ({errors[0][1]})",
             file=sys.stderr,
         )
+        for i, err in errors:
+            print(f"  x={x} trial {i}: {err}", file=sys.stderr)
     row = {"x": x}
     if not good:
         for col in COLUMNS[1:]:
@@ -236,12 +242,7 @@ def _aggregate(config: ScenarioConfig, x_idx: int, trials: list[dict]) -> dict:
     for col in COLUMNS[1:-1]:
         row[col] = float(np.mean([t[col] for t in good]))
     if len(good) > 1:
-        quant = _t_quantile(len(good) - 1)
-        hw = 0.0
-        for col in _SIM_COLS:
-            vals = [t[col] for t in good]
-            hw = max(hw, quant * float(np.std(vals, ddof=1)) / math.sqrt(len(vals)))
-        row["ci_halfwidth"] = hw
+        row["ci_halfwidth"] = _widest([_halfwidth([t[col] for t in good]) for col in _SIM_COLS])
     else:
         row["ci_halfwidth"] = good[0]["ci_trial"]
     return row
@@ -259,14 +260,14 @@ def run_scenario(config: ScenarioConfig, out_path=None, jobs: int = 1) -> list[d
         for x_idx in range(len(config.sweep))
         for trial in range(config.trials)
     ]
-    per_x: list[list[dict]] = [[] for _ in config.sweep]
+    per_x: list[list[tuple[int, dict]]] = [[] for _ in config.sweep]
     with ExitStack() as stack:
         # both maps hand results back in task order
         mapper = map
         if jobs > 1:
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
-        for x_idx, res in mapper(_worker, tasks):
-            per_x[x_idx].append(res)
+        for x_idx, trial, res in mapper(_worker, tasks):
+            per_x[x_idx].append((trial, res))
     rows = [_aggregate(config, x_idx, trials) for x_idx, trials in enumerate(per_x)]
     if out_path is not None:
         write_csv(rows, out_path)

@@ -133,31 +133,20 @@ def iterate_recurrence(system: RecurrenceSystem, horizon: int, kind: str = "coun
     base = np.ones(m) if kind == "count" else np.asarray(system.rewards, dtype=float)
     garr = np.asarray(system.gammas)
     gmax = int(garr.max())
-    groups = []
-    for g in sorted(set(system.gammas)):
-        idx = np.flatnonzero(garr == g)
-        groups.append((g, idx, system.rows[idx], base[idx]))
-    # Warm-up horizons, where some spacings still reach past t = 0 and
-    # the value stays pinned at zero.
-    warm = min(horizon, gmax)
-    dp = np.zeros((warm + 1, m))
-    for t in range(1, warm + 1):
-        for g, idx, rows_g, base_g in groups:
-            if t >= g:
-                dp[t, idx] = base_g + rows_g @ dp[t - g]
-    if horizon <= gmax:
-        return dp[horizon].copy()
-    # Past the warm-up every lookback lands inside a gmax-deep window, so
-    # the whole step collapses to one matvec against the flattened window
-    # (row k reads window row gmax - gamma_k).
+    # window row j holds the value at horizon t - gmax + j, so row k
+    # reads row gmax - gamma_k; the window starts at zero, which is V_0
+    # (and stands in for the horizons before it, which the warm-up rule
+    # below overwrites)
     flat = np.zeros((m, gmax * m))
-    for g, idx, rows_g, _ in groups:
-        flat[idx, (gmax - g) * m : (gmax - g + 1) * m] = rows_g
-    window = np.ascontiguousarray(dp[1:])
+    flat[np.arange(m)[:, None], ((gmax - garr) * m)[:, None] + np.arange(m)] = system.rows
+    window = np.zeros((gmax, m))
     out = np.empty(m)
-    for _ in range(gmax + 1, horizon + 1):
+    for t in range(1, horizon + 1):
         np.dot(flat, window.ravel(), out=out)
         out += base
+        if t < gmax:
+            # nothing is collected before the first poll lands
+            out[garr > t] = 0.0
         window[:-1] = window[1:]
         window[-1] = out
     return window[-1].copy()

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.special import lambertw
+
 from .belief import _table_cached, steady_expected_aoi
 from .chain import ChainParams
 
@@ -19,10 +21,6 @@ __all__ = ["NEVER", "ThresholdTable", "lambert_w0", "gamma_scan", "gamma_analyti
 NEVER = math.inf  # branch whose mean age never drops below eta
 
 _BRANCH_POINT = -math.exp(-1.0)
-
-# Halley iteration of lambert_w0: relative step tolerance and step cap
-_W_TOL = 1e-12
-_W_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -52,12 +50,14 @@ class ThresholdTable:
 
 
 def lambert_w0(z: float) -> float:
-    """Principal branch W0 of w * exp(w) = z via Halley iteration.
+    """Principal branch W0 of w * exp(w) = z, from scipy.special.lambertw.
 
     Defined for z >= -1/e; arguments within 1e-12 below the branch point
     are clamped onto it (callers hit this through rounding), anything
-    lower raises. Near the branch point the series in sqrt(2(e z + 1))
-    is already exact to double precision, so it is returned directly.
+    lower raises. Near the branch point it returns the series in
+    sqrt(2(e z + 1)), whose truncation error is below double precision
+    (the rounding of e z + 1 still costs up to about 1e-8 there);
+    lambertw itself returns nan at the rounded branch point.
     """
     if math.isnan(z):
         raise ValueError("lambert_w0 argument is nan")
@@ -71,25 +71,7 @@ def lambert_w0(z: float) -> float:
     if s < 1e-8:
         r = math.sqrt(s)
         return -1.0 + r - s / 3.0 + 11.0 / 72.0 * r * s
-    if z >= math.e:
-        lz = math.log(z)
-        w = lz - math.log(lz)
-    elif z > 0.0:
-        w = math.log1p(z)
-    else:
-        r = math.sqrt(s)
-        w = -1.0 + r - s / 3.0 + 11.0 / 72.0 * r * s
-    for _ in range(_W_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - z
-        if f == 0.0:
-            break
-        wp1 = w + 1.0
-        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= step
-        if abs(step) <= _W_TOL * (1.0 + abs(w)):
-            break
-    return max(w, -1.0)
+    return float(lambertw(z).real)
 
 
 def gamma_scan(params: ChainParams, eta: float) -> ThresholdTable:

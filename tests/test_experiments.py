@@ -1,4 +1,5 @@
 """Scenario configs, fleet generation, sweep harness, and CSV round trips."""
+import dataclasses
 import json
 import math
 
@@ -223,6 +224,61 @@ def test_failed_trials_flag_the_row(tmp_path, monkeypatch, capsys):
     write_csv(rows, path)
     parsed = read_csv(path)
     assert math.isnan(parsed[0]["j_greedy_sim"])
+
+
+def test_each_failed_trial_is_named(monkeypatch, capsys):
+    config = _config(trials=3)
+    doomed = {(0, 1), (1, 0), (1, 2)}
+    fleets = {tuple(s.p for s in trial_fleet(config, i, t)): (i, t) for i, t in doomed}
+    real = experiments.solve_eta
+
+    def flaky(sensors):
+        key = tuple(s.p for s in sensors)
+        if key in fleets:
+            raise RuntimeError(f"forced failure at {fleets[key]}")
+        return real(sensors)
+
+    monkeypatch.setattr(experiments, "solve_eta", flaky)
+    rows = run_scenario(config)
+    err = capsys.readouterr().err
+    for i, x in enumerate(config.sweep):
+        for t in range(config.trials):
+            full = f"x={x} trial {t}: RuntimeError: forced failure at ({i}, {t})"
+            assert (full in err) == (f"x={x} trial {t}:" in err) == ((i, t) in doomed)
+    # the good trials of every row still fill it
+    for row in rows:
+        assert all(math.isfinite(row[c]) for c in COLUMNS[:-1])
+
+
+def test_nan_column_makes_the_interval_nan():
+    # a simulated column without a value has no interval, so the row's
+    # widest interval is unknown rather than that of the other columns
+    filled = {c: 1.0 for c in COLUMNS[1:-1]}
+    trials = [
+        (0, dict(filled, j_random_sim=1.5, j_greedy_sim=2.0, ci_trial=0.1)),
+        (1, dict(filled, j_relaxed_sim=math.nan, ci_trial=0.1)),
+    ]
+    row = experiments._aggregate(_config(), 0, trials)
+    assert math.isnan(row["j_relaxed_sim"])
+    assert math.isnan(row["ci_halfwidth"])
+
+
+@pytest.mark.parametrize("short", ["run_random", "run_relaxed", "run_greedy"])
+def test_one_trial_interval_is_nan_without_batches(monkeypatch, short):
+    # a single trial takes its interval from the batch means of its three
+    # runs; one run with fewer than two batches leaves it unknown,
+    # whichever run that is
+    real = getattr(experiments, short)
+
+    def one_batch(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, batch_means=res.batch_means[:1])
+
+    monkeypatch.setattr(experiments, short, one_batch)
+    rows = run_scenario(_config(trials=1))
+    for row in rows:
+        assert math.isfinite(row["j_relaxed_sim"])
+        assert math.isnan(row["ci_halfwidth"])
 
 
 def test_t_quantile_matches_scipy_stats():

@@ -118,6 +118,47 @@ def test_iterate_warmup_values():
         assert first[k] == (1.0 if system.gammas[k] == 1 else 0.0)
 
 
+def _naive_values(system, horizon, kind):
+    # V_t(k) = 0 for t < gamma_k, else base_k + rows_k . V_{t - gamma_k};
+    # V_0 = 0
+    m = system.params.m
+    base = np.ones(m) if kind == "count" else np.asarray(system.rewards)
+    values = [np.zeros(m)]
+    for t in range(1, horizon + 1):
+        v = np.zeros(m)
+        for k, g in enumerate(system.gammas):
+            if t >= g:
+                v[k] = base[k] + system.rows[k] @ values[t - g]
+        values.append(v)
+    return values
+
+
+def _warmup_systems():
+    cases = [(p, m) for p in (0.0, 0.3, 0.8) for m in (2, 4, 10)] + [(0.816, 32)]
+    for p, m in cases:
+        params = ChainParams(p=p, m=m)
+        top = params.q + params.m * params.p
+        for eta in (_mid_eta(params, 0.2), _mid_eta(params, 0.5), _mid_eta(params, 0.8), top + 1.0):
+            table = gamma_analytic(params, eta)
+            if not table.has_never:
+                yield build_system(params, table)
+
+
+@pytest.mark.parametrize("kind", ["count", "reward"])
+def test_iterate_matches_naive_recursion_through_warmup(kind):
+    # every horizon up to two windows past the longest spacing, so an
+    # off-by-one in the window during the warm-up cannot pass
+    spans = set()
+    for system in _warmup_systems():
+        gmax = max(system.gammas)
+        spans.add(gmax)
+        want = _naive_values(system, 2 * gmax + 1, kind)
+        for horizon in range(1, 2 * gmax + 2):
+            got = iterate_recurrence(system, horizon, kind)
+            np.testing.assert_allclose(got, want[horizon], rtol=1e-12, atol=0.0)
+    assert max(spans) >= 5
+
+
 def test_iterate_argument_errors():
     params = ChainParams(p=0.8, m=10)
     system = build_system(params, gamma_analytic(params, 5.0))
