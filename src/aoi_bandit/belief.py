@@ -122,6 +122,20 @@ def _table_cached(params: ChainParams) -> np.ndarray:
     return table
 
 
+_RUNMINS = weakref.WeakKeyDictionary()
+
+
+def _runmin_cached(params: ChainParams) -> np.ndarray:
+    # running minimum along each row of the cached table: entry [k - 1, j]
+    # is the smallest mean of branch k over its first j + 1 slots; kept
+    # and dropped like the table itself
+    runmin = _RUNMINS.get(params)
+    if runmin is None:
+        runmin = _RUNMINS[params] = np.minimum.accumulate(_table_cached(params), axis=1)
+        runmin.setflags(write=False)
+    return runmin
+
+
 def steady_expected_aoi(params: ChainParams) -> float:
     """Mean age under the stationary distribution: (1 - p**m)/(1 - p)."""
     return (1.0 - params.p**params.m) / (1.0 - params.p)

@@ -3,11 +3,15 @@
 Under a fixed cutoff eta a sensor is polled exactly when its belief
 branch first qualifies, so between polls the branch index is a Markov
 chain and the time between polls is the branch's threshold. Both the
-polls-per-slot rate and the collected mean-age-per-slot rate then solve
-one small linear system derived from the renewal recurrences (the value
-function is affine in the horizon). The cutoff search tunes eta until
-the aggregate polling rate over all sensors matches a budget of one
-poll per slot on average.
+polls-per-slot rate and the collected mean-age-per-slot rate are the
+slope of the renewal values, which are affine in the horizon. The
+cutoff search tunes eta until the aggregate polling rate over all
+sensors matches a budget of one poll per slot on average.
+
+The search runs sensor_rates: gamma_analytic thresholds, then one
+structured solve whose size is the number of distinct poll spacings.
+build_system's dense kernel, solved by sampling_rate and aoi_rate, and
+iterate_recurrence stay as the oracles the tests check it against.
 """
 from __future__ import annotations
 
@@ -33,7 +37,6 @@ __all__ = [
     "iterate_recurrence",
     "sensor_rates",
     "solve_eta",
-    "relaxed_performance",
 ]
 
 
@@ -163,6 +166,9 @@ class PerSensorRates:
 def sensor_rates(params: ChainParams, eta: float) -> PerSensorRates:
     """Rates of one sensor under cutoff eta; zero once the sensor idles.
 
+    The cutoff search's route: gamma_analytic thresholds, then both
+    rates from one structured solve of the renewal equations, whose
+    oracles are sampling_rate/aoi_rate on build_system's dense kernel.
     When any branch is abandoned the observation walk reaches it almost
     surely and polling dies out, so both long-run rates are zero. The
     abandonment test reuses the threshold table, keeping these rates
@@ -171,10 +177,57 @@ def sensor_rates(params: ChainParams, eta: float) -> PerSensorRates:
     table = gamma_analytic(params, eta)
     if table.has_never:
         return PerSensorRates(d_bar=0.0, r_bar=0.0)
-    system = build_system(params, table)
-    targets = np.column_stack([np.ones(params.m), system.rewards])
-    d_bar, r_bar = _affine_rates(system, targets)
+    d_bar, r_bar = _renewal_rates(params, np.array(table.gamma, dtype=np.intp))
     return PerSensorRates(d_bar=float(d_bar), r_bar=float(r_bar))
+
+
+def _renewal_rates(params: ChainParams, g: np.ndarray) -> np.ndarray:
+    # Poisson equation of the poll-to-poll kernel P, with the rate alpha:
+    # h(k) = c_k - alpha g_k + sum_a P(k, a) h(a), h(m) = 0, for c = 1
+    # (alpha = d_bar) and c = branch means (alpha = r_bar). P splits into
+    # the fresh resets F(k, a) = q p**(a - 1) for a <= g_k, which depend
+    # on k only through g_k, and the stale jump S: k -> min(k + g_k, m)
+    # with weight p**g_k, strictly upward but for the loop at m. So
+    # h = (I - S)^-1 (c - alpha g + phi[g]) with phi(G) the fresh-reset
+    # mass sum_{a <= G} q p**(a - 1) h(a) of each distinct spacing G,
+    # and the unknowns shrink to alpha and one phi per distinct spacing.
+    m, p, q = params.m, params.p, params.q
+    k = np.arange(m)
+    powers = p ** np.arange(m + 1, dtype=float)
+    present = np.zeros(m, dtype=bool)
+    present[g] = True
+    levels = np.flatnonzero(present)
+    d = len(levels)
+    # columns: c = 1, c = branch means, g, and the indicator of each
+    # distinct spacing (cumsum(present)[g] is the rank of g among them)
+    y = np.zeros((m, d + 3))
+    y[:, 0] = 1.0
+    y[:, 1] = _table_cached(params)[k, g - 1]
+    y[:, 2] = g
+    y[k, 2 + np.cumsum(present)[g]] = 1.0
+    # y <- (I - S)^-1 y by pointer jumping: fold the self-loop at m into
+    # its row, then each round doubles the stretch of chain every branch
+    # has summed, until every chain has reached m
+    s = powers[g]
+    t = np.minimum(k + g, m - 1)
+    y[m - 1] /= 1.0 - s[m - 1]
+    s[m - 1] = 0.0
+    while s.any():  # at most ceil(log2 m) rounds
+        y += s[:, None] * y[t]
+        s *= s[t]
+        t = t[t]
+    fresh = np.cumsum((q * powers[:m])[:, None] * y, axis=0)[levels - 1]
+    # unknowns (alpha, phi): h(m) = 0, then phi = fresh-reset mass of h
+    a = np.empty((d + 1, d + 1))
+    a[0, 0], a[0, 1:] = -y[m - 1, 2], y[m - 1, 3:]
+    a[1:, 0], a[1:, 1:] = fresh[:, 2], np.eye(d) - fresh[:, 3:]
+    b = np.concatenate([-y[m - 1 :, :2], fresh[:, :2]])
+    try:
+        return np.linalg.solve(a, b)[0]
+    except np.linalg.LinAlgError as err:
+        raise SingularSystemError(
+            f"renewal system singular: p={p}, m={m}, spacings={levels.tolist()}"
+        ) from err
 
 
 # grids of at most this many candidates are evaluated in full, which also
@@ -298,12 +351,3 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
         j_value=float(j_value),
         monotone_ok=monotone_ok,
     )
-
-
-def relaxed_performance(sensors: list[ChainParams], eta: float) -> float:
-    """Per-poll mean age of the threshold policy at a given cutoff."""
-    per = _fleet_rates(sensors, eta)
-    d_hat = sum(r.d_bar for r in per)
-    if d_hat <= 0.0:
-        raise ValueError(f"cutoff {eta} polls nothing; no performance defined")
-    return sum(r.r_bar for r in per) / d_hat

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import lambertw
 
-from .belief import _table_cached, steady_expected_aoi
+from .belief import _runmin_cached, _table_cached, steady_expected_aoi
 from .chain import ChainParams
 
 __all__ = ["NEVER", "ThresholdTable", "lambert_w0", "gamma_scan", "gamma_analytic"]
@@ -41,7 +42,7 @@ class ThresholdTable:
 
     @property
     def has_never(self) -> bool:
-        return any(g == NEVER for g in self.gamma)
+        return NEVER in self.gamma
 
     def finite(self) -> tuple[int, ...]:
         if self.has_never:
@@ -75,31 +76,42 @@ def lambert_w0(z: float) -> float:
 
 
 def gamma_scan(params: ChainParams, eta: float) -> ThresholdTable:
-    """Reference thresholds by direct scan of the branch-mean table."""
-    gamma = tuple(_first_below(_table_cached(params), eta))
-    return ThresholdTable(eta=float(eta), gamma=gamma)
+    """Reference thresholds by direct scan of the branch-mean table.
+
+    The oracle that gamma_analytic must equal; the cutoff simulator
+    polls by it.
+    """
+    return _table(eta, _first_below(_table_cached(params), eta))
 
 
-def _first_below(rows, eta: float) -> list:
-    # per row, the 1-based index of its first entry below eta, or NEVER
+def _first_below(rows, eta: float) -> np.ndarray:
+    # per row, the 1-based index of its first entry below eta, 0 when none
     below = rows < eta
-    first = (below.argmax(axis=1) + 1).tolist()
-    return [f if h else NEVER for f, h in zip(first, below.any(axis=1).tolist())]
+    return np.where(below.any(axis=1), below.argmax(axis=1) + 1, 0)
+
+
+def _table(eta: float, slots: np.ndarray) -> ThresholdTable:
+    # slot 0 marks a branch that never drops below eta
+    gamma = slots.tolist()
+    if 0 in gamma:
+        gamma = [g or NEVER for g in gamma]
+    return ThresholdTable(eta=float(eta), gamma=tuple(gamma))
 
 
 def gamma_analytic(params: ChainParams, eta: float) -> ThresholdTable:
     """Closed-form thresholds, exactly matching gamma_scan.
 
-    Three cutoff regimes: above the largest attainable branch mean every
-    branch qualifies immediately; below the stationary mean a branch
-    either starts qualified or never qualifies; in between the crossing
-    slot solves the branch-mean equation, through W0 when the crossing
-    falls in the saturated phase (the same slot for every branch, so W0
-    is evaluated once per call) and through a plain logarithm when it
-    falls in the pre-saturation phase. Each candidate slot
-    ceil(x - 1e-9) is kept when the table confirms it is the first entry
-    below eta; otherwise, and for the two branches next to the age cap
-    (whose phase split is degenerate), the row is scanned.
+    The route the rate solver runs (relaxed_solver.sensor_rates), with
+    gamma_scan as its oracle. Three cutoff regimes: above the largest
+    attainable branch mean every branch qualifies immediately; below the
+    stationary mean a branch either starts qualified or never qualifies;
+    in between the crossing slot solves the branch-mean equation,
+    through W0 when the crossing falls in the saturated phase (the same
+    slot for every branch, so W0 is evaluated once per call) and through
+    a plain logarithm, one vector for all branches, when it falls in the
+    pre-saturation phase. Each candidate slot ceil(x - 1e-9) is kept
+    when two table gathers confirm it is the first entry below eta;
+    otherwise the row is scanned.
     """
     m, p = params.m, params.p
     eta = float(eta)
@@ -115,35 +127,38 @@ def gamma_analytic(params: ChainParams, eta: float) -> ThresholdTable:
         # rounding distance of the stationary mean behave like the scan
         return gamma_scan(params, eta)
 
-    lnp = math.log(p)
-    inv = 1.0 / (1.0 - p)
-    x_sat = _saturated_crossing(inv - eta, inv - m, lnp)
-    gamma = []
-    for k in range(1, m + 1):
-        row = abar[k - 1]
-        if row[0] < eta:
-            gamma.append(1)
-            continue
-        x = None
-        if k < m - 1:
-            if k * (1.0 - p) <= 1.0 or row[m - k - 2] > eta:
-                x = x_sat
-            else:
-                ratio = (1.0 - eta * (1.0 - p)) / (1.0 - k * (1.0 - p))
-                x = math.log(ratio) / lnp if ratio > 0.0 else None
-        gamma.append(_keep_or_scan(row, x, eta))
-    return ThresholdTable(eta=eta, gamma=tuple(gamma))
+    q, lnp = 1.0 - p, math.log(p)
+    x_sat = _saturated_crossing(1.0 / q - eta, 1.0 / q - m, lnp)
+    x = np.full(m, math.nan if x_sat is None else x_sat)
+    # branches k = j + 1 <= m - 2 that are still short of saturation at
+    # the crossing take the log crossing; from k = m - 1 on, every slot is
+    # saturated
+    j = np.arange(m - 2)
+    kq = (j + 1.0) * q
+    pre = (kq > 1.0) & (abar[j, m - 3 - j] <= eta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x[j[pre]] = np.log((1.0 - eta * q) / (1.0 - kq[pre])) / lnp
+    # a branch already below eta one slot after its poll needs no crossing
+    x[abar[:, 0] < eta] = 1.0
+    return _table(eta, _keep_or_scan(abar, _runmin_cached(params), x, eta))
 
 
-def _keep_or_scan(row, x: float | None, eta: float) -> float:
-    # rounding can put the closed-form slot one off on exact-boundary
-    # cutoffs, and cutoffs near the row's flat tail can break its
-    # single-crossing shape: keep the slot only when the table confirms it
-    if x is not None and math.isfinite(x):
-        g = math.ceil(x - 1e-9)
-        if 1 <= g <= len(row) and row[g - 1] < eta and not (row[: g - 1] < eta).any():
-            return g
-    return _first_below(row[None], eta)[0]
+def _keep_or_scan(abar, runmin, x, eta: float) -> np.ndarray:
+    # per row, its slot (0: never below eta). Rounding can put the
+    # closed-form slot ceil(x - 1e-9) one off on exact-boundary cutoffs,
+    # and cutoffs near a row's flat tail can break its single-crossing
+    # shape: keep the slot only where two gathers confirm it is the first
+    # entry below eta (the entry is below, the running minimum before it
+    # is not), and scan the other rows
+    g = np.ceil(x - 1e-9)
+    ok = (g >= 1) & (g <= abar.shape[1])
+    g = np.where(ok, g, 1).astype(np.intp)
+    rows = np.arange(len(g))
+    ok &= abar[rows, g - 1] < eta
+    ok &= (g == 1) | (runmin[rows, g - 2] >= eta)  # g - 2 = -1 is masked
+    if not ok.all():
+        g[~ok] = _first_below(abar[~ok], eta)
+    return g
 
 
 def _saturated_crossing(psi_eta: float, psi_m: float, lnp: float) -> float | None:

@@ -148,10 +148,13 @@ def test_03_rate_triple_agreement(report):
     t0 = time.perf_counter()
     horizon = 100_000
     worst_count = worst_reward = 0.0
-    worst_d = worst_r = 0.0
+    worst_d = worst_r = worst_route = 0.0
     for idx, (params, eta, system) in enumerate(_draw_rate_instances(), start=1):
         dbar = ab.sampling_rate(system)
         rbar = ab.aoi_rate(system)
+        # the structured solve the cutoff search runs, against the dense one
+        rates = ab.sensor_rates(params, eta)
+        worst_route = max(worst_route, abs(rates.d_bar - dbar) / dbar, abs(rates.r_bar - rbar) / rbar)
         counts = ab.iterate_recurrence(system, horizon, "count")
         rewards = ab.iterate_recurrence(system, horizon, "reward")
         worst_count = max(worst_count, float(np.max(np.abs(counts / horizon - dbar))))
@@ -160,9 +163,10 @@ def test_03_rate_triple_agreement(report):
         worst_d = max(worst_d, abs(res.samples_per_slot - dbar) / dbar)
         worst_r = max(worst_r, abs(res.j_realized * res.samples_per_slot - rbar) / rbar)
     elapsed = time.perf_counter() - t0
-    ok = (worst_count < 1e-3 and worst_reward < 1e-3
+    ok = (worst_route < 1e-12 and worst_count < 1e-3 and worst_reward < 1e-3
           and worst_d < 0.01 and worst_r < 0.01 and elapsed < 120.0)
     report(3, "rate-triple-agreement", ok, elapsed)
+    assert worst_route < 1e-12
     assert worst_count < 1e-3
     assert worst_reward < 1e-3
     assert worst_d < 0.01

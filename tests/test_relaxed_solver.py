@@ -17,13 +17,13 @@ from aoi_bandit import (
     expected_aoi_table,
     gamma_analytic,
     iterate_recurrence,
-    relaxed_performance,
     sampling_rate,
     sensor_rates,
     solve_eta,
     steady_expected_aoi,
 )
 from aoi_bandit import relaxed_solver
+from aoi_bandit.cli import main as cli_main
 
 
 def _mid_eta(params, u=0.5):
@@ -200,6 +200,42 @@ def test_sensor_rates_zero_once_abandoned():
         assert rates.r_bar == 0.0
 
 
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 0.9, 0.99])
+@pytest.mark.parametrize("m", [2, 3, 10, 50, 200])
+def test_sensor_rates_match_dense_solve(p, m):
+    # the structured solve of the hot path against the dense affine solve
+    # of build_system, on interior cutoffs, table values and poll-every-slot
+    params = ChainParams(p=p, m=m)
+    values = np.unique(expected_aoi_table(params))
+    etas = [_mid_eta(params, u) for u in (0.1, 0.4, 0.8)]
+    etas += values[:: max(1, len(values) // 12)].tolist() + [values[-1] + 1.0]
+    checked = 0
+    for eta in etas:
+        table = gamma_analytic(params, eta)
+        if table.has_never:
+            continue
+        checked += 1
+        system = build_system(params, table)
+        rates = sensor_rates(params, eta)
+        assert rates.d_bar == pytest.approx(sampling_rate(system), rel=1e-12, abs=0.0), eta
+        assert rates.r_bar == pytest.approx(aoi_rate(system), rel=1e-12, abs=0.0), eta
+    # a sure or a two-age channel has only the poll-every-slot table
+    assert checked >= (1 if p == 0.0 or m == 2 else 3)
+
+
+def test_singular_solve_is_reported(monkeypatch, capsys):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    params = ChainParams(p=0.6, m=10)
+    with pytest.raises(relaxed_solver.SingularSystemError):
+        sensor_rates(params, _mid_eta(params))
+    # the CLI turns it into its numerical-failure exit
+    assert cli_main(["solve-eta", "--p", "0.6", "--n", "2", "--m", "10"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("p", [0.3, 0.8])
 @pytest.mark.parametrize("m", [5, 30])
 @pytest.mark.parametrize("u", [0.3, 0.7])
@@ -256,14 +292,6 @@ def test_solve_eta_bisection_matches_exhaustive(monkeypatch):
     narrowed = solve_eta(fleet)
     assert abs(narrowed.d_hat - 1.0) <= abs(full.d_hat - 1.0) + 1e-15
     assert narrowed.d_hat == pytest.approx(full.d_hat, abs=1e-12)
-
-
-def test_relaxed_performance_matches_solution():
-    fleet = [ChainParams(p=0.8, m=50)] * 3
-    solution = solve_eta(fleet)
-    assert relaxed_performance(fleet, solution.eta_star) == pytest.approx(solution.j_value, abs=1e-12)
-    with pytest.raises(ValueError):
-        relaxed_performance(fleet, 1.0)
 
 
 def test_identical_sensors_are_solved_once(monkeypatch):

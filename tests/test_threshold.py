@@ -125,7 +125,7 @@ def _eta_candidates(params, count):
     return etas
 
 
-@pytest.mark.parametrize("m", [3, 10, 50])
+@pytest.mark.parametrize("m", [2, 3, 10, 50, 100])
 def test_analytic_matches_scan(m):
     for p in np.arange(0.05, 0.96, 0.05).tolist():
         params = ChainParams(p=p, m=m)
@@ -169,9 +169,11 @@ def test_closed_form_slot_is_usually_kept(monkeypatch):
     kept = []
     real = threshold._keep_or_scan
 
-    def counted(row, x, eta):
-        g = real(row, x, eta)
-        kept.append(x is not None and math.isfinite(x) and g == math.ceil(x - 1e-9))
+    def counted(abar, runmin, x, eta):
+        g = real(abar, runmin, x, eta)
+        # rows that start below eta are slot 1 without any closed form
+        solved = abar[:, 0] >= eta
+        kept.extend(((g >= 1) & (g == np.ceil(x - 1e-9)))[solved].tolist())
         return g
 
     monkeypatch.setattr(threshold, "_keep_or_scan", counted)
