@@ -253,8 +253,10 @@ def run_scenario(config: ScenarioConfig, out_path=None, jobs: int = 1) -> list[d
 
     Returns one dict per sweep point, keyed by COLUMNS; writes them to
     out_path as CSV when given. jobs > 1 farms trials out to worker
-    processes.
+    processes; jobs < 1 is a ConfigError.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
     tasks = [
         (config, x_idx, trial)
         for x_idx in range(len(config.sweep))

@@ -10,6 +10,8 @@ sensors matches a budget of one poll per slot on average.
 
 The search runs sensor_rates: gamma_analytic thresholds, then one
 structured solve whose size is the number of distinct poll spacings.
+It makes one solve per distinct threshold table of each sensor, since
+cutoffs that leave a table unchanged leave its rates unchanged.
 build_system's dense kernel, solved by sampling_rate and aoi_rate, and
 iterate_recurrence stay as the oracles the tests check it against.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import _table_cached
+from .belief import _runmin_cached, _table_cached
 from .chain import ChainParams
 from .threshold import ThresholdTable, gamma_analytic
 
@@ -261,10 +263,34 @@ class EtaSolution:
     monotone_ok: bool = True
 
 
-def _fleet_rates(sensors: list[ChainParams], eta: float) -> list[PerSensorRates]:
-    # one solve per distinct sensor, handed back in fleet order
-    rates = {s: sensor_rates(s, eta) for s in dict.fromkeys(sensors)}
-    return [rates[s] for s in sensors]
+def _table_key(params: ChainParams, eta: float) -> tuple[ChainParams, int]:
+    # a threshold is the first slot whose running minimum is below eta, so
+    # every threshold only falls as eta rises and the count of
+    # running-minimum entries below eta names the sensor's whole table
+    return params, int(np.count_nonzero(_runmin_cached(params) < eta))
+
+
+def _fleet_rates(sensors: list[ChainParams], eta: float, solved: dict) -> list[PerSensorRates]:
+    # solved holds one solve per (sensor, threshold table), shared by equal
+    # sensors and by every cutoff that leaves the table unchanged; rates
+    # come back in fleet order
+    rates = []
+    for s in sensors:
+        key = _table_key(s, eta)
+        if key not in solved:
+            solved[key] = sensor_rates(s, eta)
+        rates.append(solved[key])
+    return rates
+
+
+def _candidate_grid(values: np.ndarray) -> np.ndarray:
+    # the strictly increasing values interleaved with their midpoints; the
+    # midpoint of two adjacent floats rounds onto one of them, and dropping
+    # that repeat leaves the sorted union without a second sort
+    grid = np.empty(2 * len(values) - 1)
+    grid[0::2] = values
+    grid[1::2] = (values[1:] + values[:-1]) / 2.0
+    return grid[np.diff(grid, prepend=-np.inf) > 0]
 
 
 def _pick(evaluated: dict[float, float]) -> float:
@@ -285,7 +311,10 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
     padded value that forces every branch to qualify. Small grids are
     scanned outright; large ones are bisected, relying on monotonicity
     of the aggregate rate, which is checked on every cutoff actually
-    evaluated and reported via monotone_ok.
+    evaluated and reported via monotone_ok. Each sensor is solved once
+    per distinct threshold table: a cutoff that leaves a sensor's table
+    as an earlier cutoff had it reuses that cutoff's rates, which are
+    the same numbers.
 
     When the aggregate rate jumps from 0 straight to 2 or more, the
     zero rate is the closest to the budget (or the feasible side of a
@@ -299,17 +328,17 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
         raise ValueError("need at least one sensor")
     values = np.unique(np.concatenate([_table_cached(s).ravel() for s in sensors]))
     top = max(s.q + s.m * s.p for s in sensors) + _PAD
-    values = np.append(values, top)
-    mids = (values[1:] + values[:-1]) / 2.0
-    grid = np.unique(np.concatenate([values, mids]))
+    grid = _candidate_grid(np.append(values, top))
 
-    # aggregate poll rate and per-sensor rates of every evaluated cutoff
+    # aggregate poll rate and per-sensor rates of every evaluated cutoff,
+    # and the rates of every (sensor, threshold table) solved so far
     evaluated: dict[float, float] = {}
     per_sensor: dict[float, list[PerSensorRates]] = {}
+    solved: dict[tuple[ChainParams, int], PerSensorRates] = {}
 
     def evaluate(eta: float) -> float:
         if eta not in evaluated:
-            per_sensor[eta] = _fleet_rates(sensors, eta)
+            per_sensor[eta] = _fleet_rates(sensors, eta, solved)
             evaluated[eta] = sum(r.d_bar for r in per_sensor[eta])
         return evaluated[eta]
 

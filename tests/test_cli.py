@@ -62,6 +62,14 @@ def test_run_jobs_match_serial(config_path, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_nonpositive_jobs_exits_2(config_path, tmp_path, jobs, capsys):
+    out = tmp_path / "never.csv"
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--jobs", jobs]) == 2
+    assert "jobs must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_seed_override_changes_output(config_path, tmp_path, monkeypatch):
     base = tmp_path / "base.csv"
     flag = tmp_path / "flag.csv"

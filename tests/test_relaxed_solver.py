@@ -1,6 +1,5 @@
 """Renewal-rate solver for the per-sensor cutoff policy."""
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from aoi_bandit import (
     expected_aoi,
     expected_aoi_table,
     gamma_analytic,
+    gamma_scan,
     iterate_recurrence,
     sampling_rate,
     sensor_rates,
@@ -297,27 +297,58 @@ def test_solve_eta_bisection_matches_exhaustive(monkeypatch):
 def test_identical_sensors_are_solved_once(monkeypatch):
     sensor, other = ChainParams(p=0.6, m=20), ChainParams(p=0.8, m=20)
     real = relaxed_solver.sensor_rates
-    calls = []
+    systems = []
 
     def counting(params, eta):
-        calls.append(eta)
+        systems.append((params, gamma_scan(params, eta).gamma))
         return real(params, eta)
 
     monkeypatch.setattr(relaxed_solver, "sensor_rates", counting)
-    sol = solve_eta([sensor] * 4)
-    # one call per evaluated cutoff, eta_star included
-    seen = Counter(calls)
-    assert sol.eta_star in seen
-    assert set(seen.values()) == {1}
-    per = [real(sensor, sol.eta_star)] * 4
-    assert sol.d_hat == sum(r.d_bar for r in per)
-    assert sol.j_value == sum(r.r_bar for r in per) / sol.d_hat
-    # repeated sensors still add up in fleet order
-    fleet = [sensor, other, sensor, other]
-    mixed = solve_eta(fleet)
-    per = [real(s, mixed.eta_star) for s in fleet]
-    assert mixed.d_hat == sum(r.d_bar for r in per)
-    assert mixed.j_value == sum(r.r_bar for r in per) / mixed.d_hat
+    # bisected (m = 20) and exhaustive (m = 4) grids; repeated sensors
+    # still add up in fleet order
+    for fleet in ([sensor] * 4, [sensor, other, sensor, other], [ChainParams(p=0.5, m=4)] * 2):
+        systems.clear()
+        sol = solve_eta(fleet)
+        # one solve per (sensor, threshold table), eta_star's among them
+        assert len(set(systems)) == len(systems)
+        assert {(s, gamma_scan(s, sol.eta_star).gamma) for s in fleet} <= set(systems)
+        per = [real(s, sol.eta_star) for s in fleet]
+        assert sol.d_hat == sum(r.d_bar for r in per)
+        assert sol.j_value == sum(r.r_bar for r in per) / sol.d_hat
+
+
+@pytest.mark.parametrize("p", [0.0, 0.01, 0.5, 0.99])
+@pytest.mark.parametrize("m", [2, 3, 12, 100])
+def test_table_key_names_the_threshold_table(p, m):
+    # probe every distinct table value and both its float neighbours: equal
+    # keys must mean equal scanned tables, and distinct keys distinct ones
+    params = ChainParams(p=p, m=m)
+    values = np.unique(expected_aoi_table(params))
+    probes = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+    tables = {}
+    for eta in probes.tolist():
+        tables.setdefault(relaxed_solver._table_key(params, eta), set()).add(
+            gamma_scan(params, eta).gamma
+        )
+    assert all(len(t) == 1 for t in tables.values())
+    assert len(set().union(*tables.values())) == len(tables)
+
+
+def test_candidate_grid_is_the_sorted_union():
+    one = 1.0
+    below, above = np.nextafter(one, 0.0), np.nextafter(one, 2.0)
+    # adjacent floats whose midpoint rounds onto the left and the right end
+    assert (one + above) / 2.0 == one
+    assert (below + one) / 2.0 == one
+    cases = [np.array([one]), np.array([one, above, 2.0]), np.array([below, one, 3.0])]
+    fleets = ([ChainParams(p=0.4, m=15), ChainParams(p=0.6, m=15), ChainParams(p=0.8, m=15)],
+              [ChainParams(p=p, m=100) for p in (0.2, 0.5, 0.55, 0.9)])
+    for fleet in fleets:
+        values = np.unique(np.concatenate([expected_aoi_table(s).ravel() for s in fleet]))
+        cases.append(np.append(values, values[-1] + 1.0))
+    for values in cases:
+        union = np.unique(np.concatenate([values, (values[1:] + values[:-1]) / 2.0]))
+        assert relaxed_solver._candidate_grid(values).tolist() == union.tolist()
 
 
 def test_solve_eta_polls_nothing_when_zero_is_closest():
