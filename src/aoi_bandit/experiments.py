@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, fields
 
@@ -267,6 +266,9 @@ def run_scenario(config: ScenarioConfig, out_path=None, jobs: int = 1) -> list[d
         # both maps hand results back in task order
         mapper = map
         if jobs > 1:
+            # imported here: a serial run need not load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
         for x_idx, trial, res in mapper(_worker, tasks):
             per_x[x_idx].append((trial, res))

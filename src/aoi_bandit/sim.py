@@ -6,12 +6,14 @@ age as of the end of the previous slot. After the poll lands, every
 true age takes its chain step and every belief branch either resets to
 (observed age, 1) or ages by one slot.
 
-One engine runs every policy, a draw chunk at a time. True ages do not
+One engine runs every policy, a draw chunk at a time; a chunk of
+_CHUNK slots keeps each per-sensor array in cache. True ages do not
 depend on the policy, so it builds them per chunk in closed form from
 the sensors' uniforms; the policy returns the chunk's polls as int
-arrays (random draws them at once, the cutoff policy follows each sensor
-by its gamma_scan table, greedy stays slot-sequential); array operations
-account them, each poll reading its branch off the sensor's last poll.
+arrays (random draws them at once, the cutoff policy follows each
+sensor's chain of poll slots through its gamma_scan table by pointer
+doubling, greedy stays slot-sequential); array operations account them,
+each poll reading its branch off the sensor's last poll.
 
 True ages start from the stationary distribution and beliefs at the
 no-information branch; the first 10 * max(age cap) slots are burn-in,
@@ -34,7 +36,7 @@ from .threshold import gamma_scan
 
 __all__ = ["SimResult", "run_random", "run_greedy", "run_relaxed"]
 
-_CHUNK = 131072
+_CHUNK = 16384
 _BATCHES = 20
 
 
@@ -109,8 +111,9 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
         slots, who = polls(t0, ages[:, :-1], obs, last, p_rng)
         seen = ages[who, slots - t0]
         # group the polls by sensor, keeping slot order, so that each reads
-        # the poll before it; a sensor's first one reads the carried state
-        order = np.argsort(who, kind="stable")
+        # the poll before it; a sensor's first one reads the carried state.
+        # Keys of 16 bits or fewer take numpy's stable radix sort.
+        order = np.argsort(who.astype(np.min_scalar_type(n)), kind="stable")
         g_who, g_slot, g_seen = who[order], slots[order], seen[order]
         head, tail = np.diff(g_who, prepend=-1) != 0, np.diff(g_who, append=n) != 0
         prev_obs, prev_last = np.roll(g_seen, 1), np.roll(g_slot, 1)
@@ -141,19 +144,15 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
 
 def run_greedy(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult:
     """Each slot polls the sensor with the smallest branch mean, lowest index on ties."""
-    tables = [_table_cached(s) for s in sensors]
+    # per sensor, its table rows as lists, each converted the first time
+    # the run reaches it
+    tabs = [_Rows(_table_cached(s)) for s in sensors]
     order, isat = range(len(sensors)), [s.m - 2 for s in sensors]
 
     def polls(t0, ages, obs, last, p_rng):
-        # as lists, only the table rows the chunk can reach: each sensor's
-        # current row and the rows of the ages on its path, since a poll
-        # that sees age a moves the sensor to row a - 1, which seen holds
-        tabs = []
-        for table, path, o in zip(tables, ages, obs.tolist()):
-            idx = np.flatnonzero(np.bincount(np.r_[o, path] - 1))
-            tabs.append(dict(zip(idx.tolist(), table[idx].tolist())))
         # each sensor's current row, and the chunk offset of the slot after
-        # its last poll, where the row's first entry (i = 1) applies
+        # its last poll, where the row's first entry (i = 1) applies; a
+        # poll that sees age a moves the sensor to row a - 1
         rows = [tab[o - 1] for tab, o in zip(tabs, obs.tolist())]
         at, seen, picks = (last + 1 - t0).tolist(), (ages - 1).tolist(), []
         for j in range(ages.shape[1]):
@@ -168,6 +167,17 @@ def run_greedy(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult
         return np.arange(t0, t0 + len(picks)), np.array(picks)
 
     return _simulate(sensors, horizon, seed, polls)
+
+
+class _Rows(dict):
+    """Rows of one branch-mean table as lists, converted on first use."""
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+    def __missing__(self, k: int) -> list[float]:
+        row = self[k] = self.table[k].tolist()
+        return row
 
 
 def run_random(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult:
@@ -194,18 +204,37 @@ def run_relaxed(sensors: list[ChainParams], eta: float, horizon: int, seed: int)
     due = [0 if _table_cached(s)[-1, -1] < eta else horizon for s in sensors]
 
     def polls(t0, ages, obs, last, p_rng):
-        slots, who, size = [], [], ages.shape[1]
+        offsets, paths = np.arange(ages.shape[1]), []
         for s, gap in enumerate(gaps):
             # chunk offsets of the chain j -> j + gamma[age(j) - 1]
-            nxt = (np.arange(size) + gap[ages[s] - 1]).tolist()
-            j, before = due[s] - t0, len(slots)
-            while j < size:
-                slots.append(j)
-                j = nxt[j]
-            due[s] = t0 + j
-            who += [s] * (len(slots) - before)
-        slots, who = t0 + np.array(slots, dtype=np.int64), np.array(who, dtype=np.int64)
+            path, nxt = _chain(offsets + gap[ages[s] - 1], due[s] - t0)
+            paths.append(path)
+            due[s] = t0 + nxt
+        slots = t0 + np.concatenate(paths)
+        who = np.repeat(np.arange(len(gaps)), [len(path) for path in paths])
         order = np.argsort(slots, kind="stable")  # sensor runs stay in sensor order
         return slots[order], who[order]
 
     return _simulate(sensors, horizon, seed, polls)
+
+
+def _chain(nxt: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+    """The chain start -> nxt[start] -> ... while below len(nxt), and its next node.
+
+    nxt must step strictly upward. Pointer doubling: after r rounds path
+    holds the chain's first 2**r nodes and jump maps a node to the one
+    2**r steps on, with len(nxt) standing for every node past the end.
+    The next node is the unclamped nxt of the last one, or start itself
+    when start is already past the end.
+    """
+    size = len(nxt)
+    if start >= size:
+        return np.empty(0, dtype=np.int64), start
+    jump, path = np.r_[np.minimum(nxt, size), size], np.array([start])
+    while True:
+        path = np.concatenate([path, jump[path]])
+        if path[-1] == size:
+            break
+        jump = jump[jump]
+    path = path[: np.searchsorted(path, size)]
+    return path, int(nxt[path[-1]])

@@ -166,12 +166,22 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def _loaded_by_cli_import(*modules):
     # a fresh process, so modules imported by other tests do not count
     src = str(Path(aoi_bandit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, aoi_bandit.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, aoi_bandit.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    assert _loaded_by_cli_import("scipy.stats") == "[]"
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only --jobs > 1 needs worker processes; the golden --jobs 2 checks
+    # guard what the pool writes
+    assert _loaded_by_cli_import("concurrent.futures.process", "multiprocessing") == "[]"

@@ -31,9 +31,10 @@ def _twin(sensors, horizon, seed, policy, eta=None, log=None):
     Follows the documented contract: one spawned stream per sensor plus
     one for the scheduler, stationary starting ages, decisions made on
     the previous slot's beliefs, polls observing the previous slot's
-    age. Only valid for horizons inside one draw chunk (131072 slots).
+    age. It draws each stream's whole horizon at once; the engine draws
+    it chunk by chunk, which test_twin_replays_across_chunks shows is the
+    same.
     """
-    assert horizon <= 131072
     n = len(sensors)
     burn = 10 * max(s.m for s in sensors)
     mlen = horizon - burn
@@ -96,6 +97,14 @@ def _twin(sensors, horizon, seed, policy, eta=None, log=None):
 FLEET = [ChainParams(p=0.6, m=5), ChainParams(p=0.8, m=7)]
 
 
+def _run(policy, sensors, horizon, seed, eta=None):
+    if policy == "greedy":
+        return run_greedy(sensors, horizon, seed)
+    if policy == "random":
+        return run_random(sensors, horizon, seed)
+    return run_relaxed(sensors, eta, horizon, seed)
+
+
 def _compare(result, twin):
     assert result.j_realized == twin["j_realized"]
     assert result.j_expected == twin["j_expected"]
@@ -117,6 +126,52 @@ def test_twin_replays_relaxed():
     _compare(run_relaxed(FLEET, eta, 2000, seed=7), _twin(FLEET, 2000, 7, "relaxed", eta=eta))
 
 
+@pytest.mark.parametrize(
+    "policy, eta, seed",
+    [("greedy", None, 16), ("random", None, 17), ("relaxed", 3.1, 18)],
+    ids=["greedy", "random", "relaxed"],
+)
+def test_twin_replays_across_chunks(policy, eta, seed):
+    # the replays above stay inside one draw chunk; this one crosses two
+    # boundaries of the shipped chunk size
+    horizon = 2 * sim._CHUNK + 1000
+    _compare(_run(policy, FLEET, horizon, seed, eta), _twin(FLEET, horizon, seed, policy, eta=eta))
+
+
+@pytest.mark.parametrize("policy", ["greedy", "random"])
+def test_twin_replays_wide_fleet(policy):
+    # more than 255 sensors, so the engine groups polls by uint16 keys;
+    # past 65 535 sensors it falls back to uint32 keys (timsort), with the
+    # same stable order. Greedy trades polls between sensors 17 and 273,
+    # which an 8-bit key would merge into one group, and the age cap of 4
+    # leaves a branch unsaturated when it returns to one of them after two
+    # slots, so a poll read off the wrong predecessor would show.
+    fleet = [ChainParams(p=0.9, m=4)] * 300
+    fleet[17] = fleet[273] = ChainParams(p=0.3, m=4)
+    _compare(_run(policy, fleet, 300, 20), _twin(fleet, 300, 20, policy))
+
+
+def _walk(nxt, start):
+    # the chain follower as a plain loop: the oracle of sim._chain
+    path, j = [], start
+    while j < len(nxt):
+        path.append(j)
+        j = int(nxt[j])
+    return path, j
+
+
+def test_chain_matches_a_plain_walk():
+    rng = np.random.default_rng(21)
+    for size in range(1, 201):
+        # small gaps give long chains, large ones jump past the chunk
+        top = int(rng.choice([2, 5, size + 1, 3 * size + 2]))
+        nxt = np.arange(size) + rng.integers(1, top, size)
+        # a start at or past the end gives an empty path and leaves it due
+        for start in {0, int(rng.integers(0, size)), size - 1, size, size + 7}:
+            path, due = sim._chain(nxt, start)
+            assert (path.tolist(), due) == _walk(nxt, start), (size, start)
+
+
 # two identical sensors tie on every shared branch; the third has its own
 # age cap, so its branch means sit at a different offset of the tables
 MIXED = [ChainParams(p=0.6, m=5), ChainParams(p=0.6, m=5), ChainParams(p=0.8, m=7)]
@@ -128,12 +183,7 @@ MIXED = [ChainParams(p=0.6, m=5), ChainParams(p=0.6, m=5), ChainParams(p=0.8, m=
     ids=["greedy", "random", "relaxed", "relaxed-one-idle"],
 )
 def test_twin_replays_mixed_fleet(policy, eta, seed):
-    if policy == "greedy":
-        result = run_greedy(MIXED, 2000, seed)
-    elif policy == "random":
-        result = run_random(MIXED, 2000, seed)
-    else:
-        result = run_relaxed(MIXED, eta, 2000, seed)
+    result = _run(policy, MIXED, 2000, seed, eta)
     _compare(result, _twin(MIXED, 2000, seed, policy, eta=eta))
     if eta == 3.1:
         # the third sensor's stationary mean is above this cutoff
