@@ -19,24 +19,13 @@ from .belief import steady_expected_aoi
 from .chain import ChainParams
 
 __all__ = [
-    "ProactiveRates",
     "LowerBoundResult",
-    "proactive_rates",
     "lower_bound",
-    "lower_bound_symmetric",
     "random_policy_value",
     "random_policy_value_uniform",
 ]
 
 _FEAS_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ProactiveRates:
-    """Per-slot transmission and age rates of one self-timed sensor."""
-
-    tx_per_slot: float
-    aoi_per_slot: float
 
 
 @dataclass(frozen=True)
@@ -56,22 +45,6 @@ def _cycle_aoi(p: float, level: int, omega: float) -> float:
     q = 1.0 - p
     aoi = ((level - 1) * p**level - level * p ** (level - 1) + 1.0) / q
     return aoi + omega * level * q * p ** (level - 1)
-
-
-def proactive_rates(params: ChainParams, level: int, omega: float) -> ProactiveRates:
-    """Closed-form cycle rates of the (level, omega) self-timed sensor.
-
-    Transmit while the age is under level, and with probability omega at
-    the level itself.
-    """
-    if not 1 <= level <= params.m:
-        raise ValueError(f"level must lie in [1, {params.m}], got {level}")
-    if not 0.0 < omega <= 1.0:
-        raise ValueError(f"omega must lie in (0, 1], got {omega}")
-    return ProactiveRates(
-        tx_per_slot=_cycle_tx(params.p, level, omega),
-        aoi_per_slot=_cycle_aoi(params.p, level, omega),
-    )
 
 
 def _aggregate_tx(sensors: list[ChainParams], level: int, omega: float) -> float:
@@ -113,27 +86,6 @@ def lower_bound(sensors: list[ChainParams]) -> LowerBoundResult:
     omega = min(max(omega, _FEAS_TOL), 1.0)
     value = sum(_cycle_aoi(s.p, level, omega) for s in sensors)
     return LowerBoundResult(l_star=level, omega_star=omega, value=value)
-
-
-def lower_bound_symmetric(p: float, n: int) -> LowerBoundResult:
-    """Identical-sensor shortcut for the self-timed bound.
-
-    Closed form for n >= 2 with 0 < p < 1: the level is
-    ceil(log_p(1 - 1/n)) and omega solves the budget equation at that
-    level. Degenerate inputs (p = 0 or a single sensor) fall back to the
-    general search, which the shortcut must match anyway.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one sensor, got {n}")
-    probe = ChainParams(p=p, m=2)  # the age cap is irrelevant to cycle rates
-    if p == 0.0 or n == 1:
-        return lower_bound([probe] * n)
-    level = max(math.ceil(math.log(1.0 - 1.0 / n) / math.log(p) - 1e-12), 1)
-    omega = (p ** (level - 1) + 1.0 / n - 1.0) / (p ** (level - 1) - p**level)
-    omega = min(max(omega, _FEAS_TOL), 1.0)
-    return LowerBoundResult(
-        l_star=level, omega_star=omega, value=n * _cycle_aoi(p, level, omega)
-    )
 
 
 def random_policy_value(sensors: list[ChainParams]) -> float:

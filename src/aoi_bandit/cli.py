@@ -26,14 +26,20 @@ _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("AOI_BANDIT_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"AOI_BANDIT_SEED must be an integer, got {raw!r}") from exc
+def _seed(args) -> int | None:
+    # the --seed flag, then AOI_BANDIT_SEED; None leaves the caller's default
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("AOI_BANDIT_SEED")
+        if raw is None:
+            return None
+        try:
+            seed = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"AOI_BANDIT_SEED must be an integer, got {raw!r}") from exc
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    return seed
 
 
 def _fleet(args) -> list[ChainParams]:
@@ -41,6 +47,8 @@ def _fleet(args) -> list[ChainParams]:
     if getattr(args, "n", None) is not None:
         if len(ps) != 1:
             raise ConfigError("--n expands a single --p into a symmetric fleet")
+        if args.n < 1:
+            raise ConfigError(f"--n must be at least 1, got {args.n}")
         ps = ps * args.n
     try:
         return [ChainParams(p=p, m=args.m) for p in ps]
@@ -49,10 +57,8 @@ def _fleet(args) -> list[ChainParams]:
 
 
 def _apply_overrides(config, args):
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _seed(args)
     if seed is not None:
-        if seed < 0:
-            raise ConfigError("seed must be nonnegative")
         config = dataclasses.replace(config, seed=seed)
     if getattr(args, "horizon", None) is not None:
         config = dataclasses.replace(config, horizon=args.horizon)
@@ -141,9 +147,9 @@ def _selftest_checks(seed: int):
 
 
 def _cmd_selftest(args) -> int:
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
+    seed = _seed(args)
     ok = True
-    for passed, msg in _selftest_checks(seed):
+    for passed, msg in _selftest_checks(0 if seed is None else seed):
         print(f"selftest: {'ok' if passed else 'FAIL'} - {msg}")
         ok = ok and passed
     return _EXIT_OK if ok else _EXIT_NUMERIC

@@ -330,16 +330,14 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
     top = max(s.q + s.m * s.p for s in sensors) + _PAD
     grid = _candidate_grid(np.append(values, top))
 
-    # aggregate poll rate and per-sensor rates of every evaluated cutoff,
-    # and the rates of every (sensor, threshold table) solved so far
+    # aggregate poll rate of every evaluated cutoff, and the rates of
+    # every (sensor, threshold table) solved so far
     evaluated: dict[float, float] = {}
-    per_sensor: dict[float, list[PerSensorRates]] = {}
     solved: dict[tuple[ChainParams, int], PerSensorRates] = {}
 
     def evaluate(eta: float) -> float:
         if eta not in evaluated:
-            per_sensor[eta] = _fleet_rates(sensors, eta, solved)
-            evaluated[eta] = sum(r.d_bar for r in per_sensor[eta])
+            evaluated[eta] = sum(r.d_bar for r in _fleet_rates(sensors, eta, solved))
         return evaluated[eta]
 
     if len(grid) <= _EXHAUSTIVE_BELOW:
@@ -370,7 +368,8 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
     if not monotone_ok:
         warnings.warn("aggregate poll rate not monotone on the evaluated grid")
 
-    per, d_hat = per_sensor[eta_star], evaluated[eta_star]
+    # every table of eta_star is in the memo, so this solves nothing new
+    per, d_hat = _fleet_rates(sensors, eta_star, solved), evaluated[eta_star]
     active = tuple(i for i, r in enumerate(per) if r.d_bar > 0.0)
     j_value = sum(r.r_bar for r in per) / d_hat if d_hat > 0 else math.nan
     return EtaSolution(

@@ -1,46 +1,31 @@
 """Self-timed lower bound and uniform-polling reference values."""
+import math
+
 import numpy as np
 import pytest
 
 from aoi_bandit import (
     ChainParams,
     lower_bound,
-    lower_bound_symmetric,
-    proactive_rates,
     random_policy_value,
     random_policy_value_uniform,
     solve_eta,
 )
-
-
-def test_proactive_validation():
-    params = ChainParams(p=0.5, m=10)
-    with pytest.raises(ValueError):
-        proactive_rates(params, 0, 0.5)
-    with pytest.raises(ValueError):
-        proactive_rates(params, 11, 0.5)
-    with pytest.raises(ValueError):
-        proactive_rates(params, 2, 0.0)
-    with pytest.raises(ValueError):
-        proactive_rates(params, 2, 1.5)
+from aoi_bandit.baselines import _aggregate_tx, _cycle_aoi, _cycle_tx
 
 
 def test_proactive_hand_worked():
-    rates = proactive_rates(ChainParams(p=0.0, m=5), 1, 1.0)
-    assert (rates.tx_per_slot, rates.aoi_per_slot) == (1.0, 1.0)
-    rates = proactive_rates(ChainParams(p=0.5, m=5), 1, 1.0)
-    assert rates.tx_per_slot == pytest.approx(0.5, abs=1e-15)
-    assert rates.aoi_per_slot == pytest.approx(0.5, abs=1e-15)
+    assert (_cycle_tx(0.0, 1, 1.0), _cycle_aoi(0.0, 1, 1.0)) == (1.0, 1.0)
+    assert _cycle_tx(0.5, 1, 1.0) == pytest.approx(0.5, abs=1e-15)
+    assert _cycle_aoi(0.5, 1, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_proactive_continuous_across_levels():
     # raising the level while collapsing omega lands on the same rates
-    params = ChainParams(p=0.7, m=20)
+    p = 0.7
     for level in (1, 3, 7):
-        full = proactive_rates(params, level, 1.0)
-        next_ = proactive_rates(params, level + 1, 1e-12)
-        assert full.tx_per_slot == pytest.approx(next_.tx_per_slot, abs=1e-9)
-        assert full.aoi_per_slot == pytest.approx(next_.aoi_per_slot, abs=1e-9)
+        for rate in (_cycle_tx, _cycle_aoi):
+            assert rate(p, level, 1.0) == pytest.approx(rate(p, level + 1, 1e-12), abs=1e-9)
 
 
 def _simulate_cycle(p, level, omega, slots, seed):
@@ -64,10 +49,9 @@ def _simulate_cycle(p, level, omega, slots, seed):
 
 @pytest.mark.parametrize("p,level,omega", [(0.6, 2, 0.7), (0.3, 1, 0.4), (0.8, 4, 1.0)])
 def test_proactive_matches_simulation(p, level, omega):
-    want = proactive_rates(ChainParams(p=p, m=50), level, omega)
     tx, aoi = _simulate_cycle(p, level, omega, 400_000, seed=97)
-    assert tx == pytest.approx(want.tx_per_slot, rel=0.01)
-    assert aoi == pytest.approx(want.aoi_per_slot, rel=0.01)
+    assert tx == pytest.approx(_cycle_tx(p, level, omega), rel=0.01)
+    assert aoi == pytest.approx(_cycle_aoi(p, level, omega), rel=0.01)
 
 
 def test_lower_bound_hand_worked():
@@ -85,10 +69,6 @@ def test_lower_bound_needs_sensors():
         lower_bound([])
 
 
-def _aggregate_tx(sensors, level, omega):
-    return sum(proactive_rates(s, level, omega).tx_per_slot for s in sensors)
-
-
 @pytest.mark.parametrize("p", [0.3, 0.8])
 def test_lower_bound_sits_on_the_budget(p):
     sensors = [ChainParams(p=p, m=400)] * 2
@@ -100,22 +80,24 @@ def test_lower_bound_sits_on_the_budget(p):
 
 
 def test_symmetric_shortcut_matches_search():
+    # n identical sensors, 0 < p < 1, n >= 2: the level is the smallest
+    # whose full-throttle rate n * (1 - p**level) reaches the budget, and
+    # omega meets the budget exactly at that level
     for p in np.arange(0.1, 0.91, 0.1).tolist():
         for n in (2, 4, 8, 12):
-            fast = lower_bound_symmetric(p, n)
-            slow = lower_bound([ChainParams(p=p, m=500)] * n)
-            assert fast.l_star == slow.l_star, (p, n)
-            assert fast.omega_star == pytest.approx(slow.omega_star, abs=1e-9)
-            assert fast.value == pytest.approx(slow.value, rel=1e-9)
+            level = max(math.ceil(math.log(1.0 - 1.0 / n) / math.log(p) - 1e-12), 1)
+            omega = (p ** (level - 1) + 1.0 / n - 1.0) / (p ** (level - 1) - p**level)
+            search = lower_bound([ChainParams(p=p, m=500)] * n)
+            assert search.l_star == level, (p, n)
+            assert search.omega_star == pytest.approx(omega, abs=1e-9)
+            assert search.value == pytest.approx(n * _cycle_aoi(p, level, omega), rel=1e-9)
 
 
 def test_symmetric_shortcut_degenerate_inputs():
-    assert lower_bound_symmetric(0.0, 3).value == pytest.approx(1.0, abs=1e-12)
-    single = lower_bound_symmetric(0.9, 1)
+    assert lower_bound([ChainParams(p=0.0, m=2)] * 3).value == pytest.approx(1.0, abs=1e-12)
+    single = lower_bound([ChainParams(p=0.9, m=2)])
     assert single.omega_star == 1.0
     assert single.value == pytest.approx(10.0, rel=1e-6)
-    with pytest.raises(ValueError):
-        lower_bound_symmetric(0.5, 0)
 
 
 def test_random_policy_hand_worked():

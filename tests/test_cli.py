@@ -136,6 +136,13 @@ def test_lb_n_requires_single_p(capsys):
     assert main(["lb", "--p", "0.3", "0.8", "--n", "4"]) == 2
 
 
+@pytest.mark.parametrize("command", ["lb", "solve-eta"])
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_nonpositive_n_exits_2(command, n, capsys):
+    assert main([command, "--p", "0.5", "--n", n]) == 2
+    assert "--n must be at least 1" in capsys.readouterr().err
+
+
 def test_solve_eta_from_probs(capsys):
     assert main(["solve-eta", "--p", "0.8", "--n", "4", "--m", "100"]) == 0
     out = capsys.readouterr().out
@@ -164,6 +171,17 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "selftest: ok" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("flag,env", [(["--seed", "-1"], None), ([], "-1")], ids=["flag", "env"])
+def test_selftest_negative_seed_exits_2(flag, env, monkeypatch, capsys):
+    # selftest resolves its seed by the same rule as run and solve-eta
+    if env is not None:
+        monkeypatch.setenv("AOI_BANDIT_SEED", env)
+    assert main(["selftest", *flag]) == 2
+    captured = capsys.readouterr()
+    assert "seed must be nonnegative" in captured.err
+    assert captured.out == ""
 
 
 def _loaded_by_cli_import(*modules):
