@@ -51,7 +51,7 @@ def _fleet(args) -> list[ChainParams]:
             raise ConfigError(f"--n must be at least 1, got {args.n}")
         ps = ps * args.n
     try:
-        return [ChainParams(p=p, m=args.m) for p in ps]
+        return [ChainParams(p=p, m=100 if args.m is None else args.m) for p in ps]
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -92,6 +92,8 @@ def _cmd_solve_eta(args) -> int:
     if (args.config is None) == (args.p is None):
         raise ConfigError("give either --config or --p")
     if args.config is not None:
+        if args.n is not None or args.m is not None:
+            raise ConfigError("--n and --m shape a --p fleet; a config sets its own")
         config = _apply_overrides(load_config(args.config), args)
         sensors = trial_fleet(config)
     else:
@@ -182,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--config", default=None, help="scenario JSON; uses its first sweep point")
     p_se.add_argument("--p", type=float, nargs="+", default=None, help="failure probabilities")
     p_se.add_argument("--n", type=int, default=None, help="replicate a single --p this many times")
-    p_se.add_argument("--m", type=int, default=100, help="age cap (default 100)")
+    p_se.add_argument("--m", type=int, default=None, help="age cap (default 100); --p only")
     p_se.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_se.set_defaults(func=_cmd_solve_eta)
 

@@ -326,7 +326,11 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
     """
     if not sensors:
         raise ValueError("need at least one sensor")
-    values = np.unique(np.concatenate([_table_cached(s).ravel() for s in sensors]))
+    # the distinct table values, sorted in place: np.unique gives the same
+    # array but loads numpy.ma on its first call
+    values = np.concatenate([_table_cached(s).ravel() for s in sensors])
+    values.sort()
+    values = values[np.append(True, values[1:] != values[:-1])]
     top = max(s.q + s.m * s.p for s in sensors) + _PAD
     grid = _candidate_grid(np.append(values, top))
 

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # with the package, not lazily on a run's first draw
 
 from .belief import _table_cached
 from .chain import ChainParams, steady_state

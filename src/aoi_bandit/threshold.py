@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .belief import _runmin_cached, _table_cached, steady_expected_aoi
 from .chain import ChainParams
@@ -22,6 +21,10 @@ __all__ = ["NEVER", "ThresholdTable", "lambert_w0", "gamma_scan", "gamma_analyti
 NEVER = math.inf  # branch whose mean age never drops below eta
 
 _BRANCH_POINT = -math.exp(-1.0)
+
+# Halley iteration of lambert_w0: relative step tolerance and step cap
+_W_TOL = 1e-12
+_W_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -51,14 +54,17 @@ class ThresholdTable:
 
 
 def lambert_w0(z: float) -> float:
-    """Principal branch W0 of w * exp(w) = z, from scipy.special.lambertw.
+    """Principal branch W0 of w * exp(w) = z, by Halley iteration in math.
 
     Defined for z >= -1/e; arguments within 1e-12 below the branch point
     are clamped onto it (callers hit this through rounding), anything
-    lower raises. Near the branch point it returns the series in
-    sqrt(2(e z + 1)), whose truncation error is below double precision
-    (the rounding of e z + 1 still costs up to about 1e-8 there);
-    lambertw itself returns nan at the rounded branch point.
+    lower raises. Near the branch point (2(e z + 1) < 1e-8) it returns
+    the series in sqrt(2(e z + 1)), whose truncation error is below
+    double precision (the rounding of e z + 1 still costs up to about
+    1e-8 there). Elsewhere it agrees with scipy.special.lambertw to
+    within 1e-12 relative wherever 2(e z + 1) >= 1e-6; gamma_analytic
+    keeps a W0 slot only when the table confirms it, so this accuracy
+    decides how often a row is scanned, never a threshold.
     """
     if math.isnan(z):
         raise ValueError("lambert_w0 argument is nan")
@@ -69,10 +75,30 @@ def lambert_w0(z: float) -> float:
     s = 2.0 * (math.e * z + 1.0)
     if s <= 0.0:
         return -1.0
+    r = math.sqrt(s)
+    series = -1.0 + r - s / 3.0 + 11.0 / 72.0 * r * s
     if s < 1e-8:
-        r = math.sqrt(s)
-        return -1.0 + r - s / 3.0 + 11.0 / 72.0 * r * s
-    return float(lambertw(z).real)
+        return series
+    # start from the series near the branch point, from log1p on (0, e)
+    # and from the asymptote log z - log log z above
+    if z >= math.e:
+        lz = math.log(z)
+        w = lz - math.log(lz)
+    elif z > 0.0:
+        w = math.log1p(z)
+    else:
+        w = series
+    for _ in range(_W_MAX_ITER):
+        ew = math.exp(w)
+        f = w * ew - z
+        if f == 0.0:
+            break
+        wp1 = w + 1.0
+        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        w -= step
+        if abs(step) <= _W_TOL * (1.0 + abs(w)):
+            break
+    return max(w, -1.0)
 
 
 def gamma_scan(params: ChainParams, eta: float) -> ThresholdTable:

@@ -157,6 +157,22 @@ def test_solve_eta_from_config(config_path, capsys):
     assert "eta_star=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", [["--n", "7"], ["--m", "50"]], ids=["n", "m"])
+def test_solve_eta_config_refuses_fleet_flags(config_path, flag, capsys):
+    # the config fixes the fleet and its age cap; --n and --m would be ignored
+    assert main(["solve-eta", "--config", str(config_path), *flag]) == 2
+    captured = capsys.readouterr()
+    assert "--n and --m" in captured.err
+    assert captured.out == ""
+
+
+def test_solve_eta_default_age_cap_is_100(capsys):
+    assert main(["solve-eta", "--p", "0.8", "--n", "4"]) == 0
+    default = capsys.readouterr().out
+    assert main(["solve-eta", "--p", "0.8", "--n", "4", "--m", "100"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_solve_eta_needs_exactly_one_source(config_path, capsys):
     assert main(["solve-eta"]) == 2
     assert main(["solve-eta", "--config", str(config_path), "--p", "0.5"]) == 2
@@ -184,22 +200,47 @@ def test_selftest_negative_seed_exits_2(flag, env, monkeypatch, capsys):
     assert captured.out == ""
 
 
-def _loaded_by_cli_import(*modules):
-    # a fresh process, so modules imported by other tests do not count
+def _fresh_python(code: str) -> str:
+    # a fresh process, so modules imported by other tests do not count;
+    # returns the last line the code printed
     src = str(Path(aoi_bandit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = f"import sys, aoi_bandit.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def _loaded_by_cli_import(*modules):
+    code = f"import sys, aoi_bandit.cli; print([m for m in {modules!r} if m in sys.modules])"
+    return _fresh_python(code)
 
 
 def test_cli_import_leaves_out_scipy_stats():
     assert _loaded_by_cli_import("scipy.stats") == "[]"
 
 
+def test_cli_import_leaves_out_scipy():
+    # W0 and the tabulated t quantiles need no scipy on the import path
+    assert _loaded_by_cli_import("scipy", "scipy.special") == "[]"
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # only --jobs > 1 needs worker processes; the golden --jobs 2 checks
     # guard what the pool writes
     assert _loaded_by_cli_import("concurrent.futures.process", "multiprocessing") == "[]"
+
+
+def test_cli_run_imports_no_numpy_or_scipy_module(tmp_path):
+    # a module first loaded inside cli.main is paid for by every run, and
+    # timed as part of it; the import of aoi_bandit.cli should bring it in
+    config = Path(__file__).resolve().parent / "golden" / "asym_uniform_m10.json"
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out.csv")]
+    code = (
+        "import sys, aoi_bandit.cli as cli\n"
+        "before = set(sys.modules)\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "             if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    assert _fresh_python(code) == "[]"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import stdtrit
 
 from aoi_bandit import (
     COLUMNS,
@@ -284,3 +285,11 @@ def test_one_trial_interval_is_nan_without_batches(monkeypatch, short):
 def test_t_quantile_matches_scipy_stats():
     for df in range(1, 201):
         assert experiments._t_quantile(df) == stats.t.ppf(0.5 + experiments._CONF / 2.0, df)
+
+
+def test_t_table_is_stdtrit():
+    # the committed quantiles, and the fallback past them, are stdtrit's bits
+    for df, value in enumerate(experiments._T975, start=1):
+        assert value == stdtrit(df, 0.975)
+    for df in (65, 200, 1000):
+        assert experiments._t_quantile(df) == stdtrit(df, 0.975)

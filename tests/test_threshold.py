@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from aoi_bandit import (
     ChainParams,
@@ -48,6 +49,26 @@ def test_lambert_monotone():
     zs = np.linspace(-math.exp(-1.0), 20.0, 500)
     ws = [lambert_w0(z) for z in zs.tolist()]
     assert all(b >= a for a, b in zip(ws, ws[1:]))
+
+
+def test_lambert_matches_scipy():
+    # from just above -1/e to 1e12, wherever 2(e z + 1) >= 1e-6 (closer to
+    # the branch point, the rounding of e z + 1 dominates either answer)
+    branch = -math.exp(-1.0)
+    zs = np.concatenate([
+        branch + np.geomspace(1e-7, 0.3, 400),
+        np.linspace(-0.35, 3.0, 400),
+        -np.geomspace(1e-300, 0.3, 200),
+        np.geomspace(1e-300, 1e12, 400),
+    ])
+    checked = 0
+    for z in zs.tolist():
+        if 2.0 * (math.e * z + 1.0) < 1e-6:
+            continue
+        ref = float(lambertw(z).real)
+        assert abs(lambert_w0(z) - ref) <= 1e-12 * abs(ref), z
+        checked += 1
+    assert checked > 1300
 
 
 def test_table_helpers():
