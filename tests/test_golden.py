@@ -1,10 +1,12 @@
 """CSV bytes of pinned configs against the files committed in tests/golden.
 
 Each golden/<name>.json config has its expected `aoi-bandit run` output
-in golden/<name>.csv: acceptance 10's small uniform fleet, and an m = 100
-gaussian fleet whose cutoff search takes the bisected path. A change that
-moves an output on purpose regenerates the .csv files and records the
-diff in CHANGES.md.
+in golden/<name>.csv: acceptance 10's small uniform fleet, an m = 100
+gaussian fleet whose cutoff search takes the bisected path, and an m = 3
+symmetric fleet where the age cap binds the lower bound and the cutoff
+search polls nothing (the relaxed columns are the documented nan). A
+change that moves an output on purpose regenerates the .csv files and
+records the diff in CHANGES.md.
 """
 from pathlib import Path
 
@@ -17,7 +19,7 @@ CONFIGS = sorted(GOLDEN.glob("*.json"))
 
 
 def test_every_config_has_its_csv():
-    assert len(CONFIGS) == 2
+    assert len(CONFIGS) == 3
     assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == [p.stem for p in CONFIGS]
 
 
