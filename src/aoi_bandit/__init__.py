@@ -3,7 +3,7 @@
 Each sensor's age of information follows a capped renewal chain; the
 scheduler only sees the ages it polls, so its knowledge per sensor is a
 two-integer belief branch. The package covers the closed-form belief
-and threshold analysis, the budget-tuned cutoff policy, a self-timed
+and threshold analysis, the budget-tuned cutoff policy, a stationary-fill
 lower bound, baselines, and a slot-level simulator with an experiment
 harness on top.
 """

@@ -1,14 +1,14 @@
-"""Benchmark values: a genie lower bound and the uniform-random poller.
+"""Benchmark values: a lower bound and the uniform-random poller.
 
-The lower bound drops the one-poll-per-slot coupling and lets every
-sensor push updates on its own: a sensor transmits whenever its age is
-below a level L, and with probability omega when the age equals L. Over
-a renewal cycle the per-slot transmission and age rates have closed
-forms in (L, omega); tightening (L, omega) until the aggregate
-transmission rate just reaches one per slot yields a value no schedule
-can beat. The cycle argument runs on the untruncated age process, so
-the age cap never enters these formulas, and the bound only holds for
-the capped chain while p**m is negligible.
+The lower bound is a fractional fill over the capped stationary laws.
+Polling never moves a true age, so the long-run share of slots that
+poll sensor s while its age is a is at most pi_s(a), its stationary
+probability; one poll per slot makes the shares sum to one. The least
+mean age meeting both is reached by pooling pi_s(a) over the sensors
+and filling ages from 1 upward until the mass reaches one. On the
+uncapped chain this is the self-timed policy that transmits below a
+level L and with probability omega at L; the cap only pools the tail
+at age m, which moves mass down and so lowers the bound.
 """
 from __future__ import annotations
 
@@ -25,67 +25,39 @@ __all__ = [
     "random_policy_value_uniform",
 ]
 
-_FEAS_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class LowerBoundResult:
-    """Tightest self-timed configuration and the bound it certifies."""
+    """Age where the fill stops, the share taken there, and the bound."""
 
     l_star: int
     omega_star: float
     value: float
 
 
-def _cycle_tx(p: float, level: int, omega: float) -> float:
-    return 1.0 - omega * p**level - (1.0 - omega) * p ** (level - 1)
-
-
-def _cycle_aoi(p: float, level: int, omega: float) -> float:
-    q = 1.0 - p
-    aoi = ((level - 1) * p**level - level * p ** (level - 1) + 1.0) / q
-    return aoi + omega * level * q * p ** (level - 1)
-
-
-def _aggregate_tx(sensors: list[ChainParams], level: int, omega: float) -> float:
-    return sum(_cycle_tx(s.p, level, omega) for s in sensors)
-
-
 def lower_bound(sensors: list[ChainParams]) -> LowerBoundResult:
-    """Best self-timed value meeting one transmission per slot on average.
+    """Least mean polled age any one-poll-per-slot schedule can reach.
 
-    The level is the smallest integer whose always-transmit rate reaches
-    the budget; omega then solves the budget equation linearly at that
-    level. A single unreliable sensor can only approach the budget in
-    the limit, so feasibility carries a 1e-12 slack, which turns the
-    search into the infimum it is meant to be.
+    A sensor adds q * p**(a-1) to age a below its cap, p**(m-1) at its
+    cap and nothing past it. The pooled mass is n >= 1, so the fill ends
+    by the largest cap; where rounding leaves the sum a hair under one
+    there, the whole last age is taken. A single sensor is polled every
+    slot, so its bound is its capped stationary mean; its l_star is the
+    age where the float sum reaches one, which can fall short of the cap.
     """
     if not sensors:
         raise ValueError("need at least one sensor")
-
-    def feasible(level: int) -> bool:
-        return _aggregate_tx(sensors, level, 1.0) >= 1.0 - _FEAS_TOL
-
-    hi = 1
-    while not feasible(hi):
-        hi *= 2
-        if hi > 2**62:
-            raise ArithmeticError("self-timed budget unreachable")
-    lo = hi // 2
-    while hi - lo > 1 and lo >= 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    level = hi
-
-    at_zero = sum(1.0 - s.p ** (level - 1) for s in sensors)
-    span = sum(s.p ** (level - 1) - s.p**level for s in sensors)
-    omega = (1.0 - at_zero) / span if span > 0.0 else 1.0
-    omega = min(max(omega, _FEAS_TOL), 1.0)
-    value = sum(_cycle_aoi(s.p, level, omega) for s in sensors)
-    return LowerBoundResult(l_star=level, omega_star=omega, value=value)
+    top = max(s.m for s in sensors)
+    filled = value = 0.0
+    for age in range(1, top + 1):
+        mass = sum(s.p ** (age - 1) * (s.q if age < s.m else 1.0)
+                   for s in sensors if age <= s.m)
+        if filled + mass >= 1.0 or age == top:
+            break
+        filled += mass
+        value += age * mass
+    omega = (1.0 - filled) / mass if filled + mass > 1.0 else 1.0
+    return LowerBoundResult(l_star=age, omega_star=omega, value=value + omega * age * mass)
 
 
 def random_policy_value(sensors: list[ChainParams]) -> float:

@@ -1,10 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 for configuration or usage problems, 3 for
-numerical failures (singular systems, unreachable budgets, self test
-mismatches). Seed precedence for commands that take one: --seed flag,
-then the AOI_BANDIT_SEED environment variable, then the config value
-or 0.
+numerical failures (singular systems, self test mismatches). Seed
+precedence for commands that take one: --seed flag, then the
+AOI_BANDIT_SEED environment variable, then the config value or 0.
 """
 from __future__ import annotations
 
@@ -107,7 +106,6 @@ def _cmd_solve_eta(args) -> int:
 
 
 def _selftest_checks(seed: int):
-    # cap of 64 keeps truncation negligible so the uncapped bound applies
     sensors = [ChainParams(p=0.3, m=64), ChainParams(p=0.6, m=64), ChainParams(p=0.8, m=64)]
     for s in sensors:
         for eta in (1.2, 1.9, 2.6, 3.4, 4.4, 6.0):
@@ -145,7 +143,7 @@ def _selftest_checks(seed: int):
     if lb > sol.j_value + 1e-9:
         yield False, f"lower bound {lb} exceeds tuned-cutoff value {sol.j_value}"
         return
-    yield True, f"self-timed bound {lb:.6g} sits below the tuned value {sol.j_value:.6g}"
+    yield True, f"lower bound {lb:.6g} sits below the tuned value {sol.j_value:.6g}"
 
 
 def _cmd_selftest(args) -> int:
@@ -172,12 +170,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--horizon", type=int, default=None, help="override the config horizon")
     p_run.set_defaults(func=_cmd_run)
 
-    p_lb = sub.add_parser("lb", help="self-timed lower bound for an explicit fleet")
+    p_lb = sub.add_parser("lb", help="stationary-fill lower bound for an explicit fleet")
     p_lb.add_argument("--p", type=float, nargs="+", required=True, help="failure probabilities")
     p_lb.add_argument("--n", type=int, default=None, help="replicate a single --p this many times")
     p_lb.add_argument("--m", type=int, default=100,
-                      help="age cap (default 100); the bound is for the uncapped chain "
-                           "and does not depend on it")
+                      help="age cap of every sensor (default 100)")
     p_lb.set_defaults(func=_cmd_lb)
 
     p_se = sub.add_parser("solve-eta", help="tune the cutoff for a fleet or a config's fleet")

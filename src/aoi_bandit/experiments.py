@@ -4,7 +4,7 @@ A scenario fixes a fleet construction rule (symmetric or one of three
 asymmetric spreads), a fleet size, an age cap, and a sweep over the
 spread parameter x. For every sweep point it runs `trials` independent
 trials; each trial draws a fleet, computes the analytic quantities
-(self-timed lower bound, uniform-polling value, tuned cutoff and its
+(stationary-fill lower bound, uniform-polling value, tuned cutoff and its
 predicted value) and simulates the three policies over `horizon` slots.
 Rows are aggregated across trials and written with a fixed column
 order so downstream plotting never has to guess.

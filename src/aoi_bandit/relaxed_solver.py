@@ -121,33 +121,32 @@ def aoi_rate(system: RecurrenceSystem) -> float:
     return float(_affine_rates(system, system.rewards))
 
 
-def iterate_recurrence(system: RecurrenceSystem, horizon: int, kind: str = "count") -> np.ndarray:
-    """Exact finite-horizon renewal values, one per starting branch.
+def iterate_recurrence(system: RecurrenceSystem, horizon: int) -> np.ndarray:
+    """Exact finite-horizon renewal values, one row per starting branch.
 
     Dynamic program on the poll recurrences: nothing is collected before
     the first poll, the first poll lands at the branch spacing, and
-    later horizons recurse through the observed-age kernel. Serves as
-    the independent check of the affine solve; one windowed matvec per
-    slot.
+    later horizons recurse through the observed-age kernel. Column 0
+    counts polls and column 1 sums the collected branch means. Serves
+    as the independent check of the affine solve; one windowed matmul
+    per slot carries both.
     """
-    if kind not in ("count", "reward"):
-        raise ValueError(f"kind must be 'count' or 'reward', got {kind!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     m = system.params.m
-    base = np.ones(m) if kind == "count" else np.asarray(system.rewards, dtype=float)
+    base = np.column_stack((np.ones(m), np.asarray(system.rewards, dtype=float)))
     garr = np.asarray(system.gammas)
     gmax = int(garr.max())
-    # window row j holds the value at horizon t - gmax + j, so row k
+    # window row j holds the values at horizon t - gmax + j, so branch k
     # reads row gmax - gamma_k; the window starts at zero, which is V_0
     # (and stands in for the horizons before it, which the warm-up rule
     # below overwrites)
     flat = np.zeros((m, gmax * m))
     flat[np.arange(m)[:, None], ((gmax - garr) * m)[:, None] + np.arange(m)] = system.rows
-    window = np.zeros((gmax, m))
-    out = np.empty(m)
+    window = np.zeros((gmax, m, 2))
+    out = np.empty((m, 2))
     for t in range(1, horizon + 1):
-        np.dot(flat, window.ravel(), out=out)
+        np.dot(flat, window.reshape(gmax * m, 2), out=out)
         out += base
         if t < gmax:
             # nothing is collected before the first poll lands

@@ -155,8 +155,7 @@ def test_03_rate_triple_agreement(report):
         # the structured solve the cutoff search runs, against the dense one
         rates = ab.sensor_rates(params, eta)
         worst_route = max(worst_route, abs(rates.d_bar - dbar) / dbar, abs(rates.r_bar - rbar) / rbar)
-        counts = ab.iterate_recurrence(system, horizon, "count")
-        rewards = ab.iterate_recurrence(system, horizon, "reward")
+        counts, rewards = ab.iterate_recurrence(system, horizon).T
         worst_count = max(worst_count, float(np.max(np.abs(counts / horizon - dbar))))
         worst_reward = max(worst_reward, float(np.max(np.abs(rewards / horizon - rbar))))
         res = ab.run_relaxed([params], eta, 1_000_000, seed=30_000 + idx)

@@ -132,6 +132,16 @@ def test_lb_explicit_fleet(capsys):
     assert "value=" in capsys.readouterr().out
 
 
+def test_lb_reads_the_age_cap(capsys):
+    # at m = 3 the cap binds; a deep cap gives the uncapped value
+    assert main(["lb", "--p", "0.95", "--n", "4", "--m", "3"]) == 0
+    capped = capsys.readouterr().out
+    assert "value=2.41\n" in capped
+    assert main(["lb", "--p", "0.95", "--n", "4", "--m", "100"]) == 0
+    deep = capsys.readouterr().out
+    assert "value=" in deep and deep != capped
+
+
 def test_lb_n_requires_single_p(capsys):
     assert main(["lb", "--p", "0.3", "0.8", "--n", "4"]) == 2
 
