@@ -169,8 +169,8 @@ def _grid_fleets():
         ]
 
 
-# the grid's p = 0.8, m = 20, n = 4 fleet has a dipping poll rate; this
-# test compares values, and the solver's own tests cover that warning
+# the solver warns on the grid's p = 0.8, m = 20, n = 4 fleet, whose
+# evaluated rate dips; this test compares values, not the solver's search
 @pytest.mark.filterwarnings("ignore:aggregate poll rate not monotone")
 def test_bound_sits_below_policy_values():
     # the bound must undercut the uniform poller and the uncapped bound
@@ -191,8 +191,6 @@ def test_bound_sits_below_policy_values():
         if sol.d_hat >= 1.0:
             assert result.value <= sol.j_value + 1e-9
     assert agreed >= 20
-    # where the cap binds, the bound lies below uniform polling, which the
-    # uncapped bound (3.19) did not
-    fleet = [ChainParams(p=0.95, m=3)] * 4
-    assert lower_bound(fleet).value == pytest.approx(2.41, abs=1e-12)
-    assert _uncapped_bound(fleet) > random_policy_value(fleet)
+    # where the cap binds, the uncapped value (3.19) is no bound: uniform
+    # polling reaches 2.85
+    assert lower_bound([ChainParams(p=0.95, m=3)] * 4).value == pytest.approx(2.41, abs=1e-12)
