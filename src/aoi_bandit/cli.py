@@ -15,7 +15,7 @@ import sys
 
 from .baselines import lower_bound, random_policy_value
 from .chain import ChainParams
-from .experiments import COLUMNS, ConfigError, load_config, run_scenario, trial_fleet
+from .experiments import ConfigError, load_config, run_scenario, trial_fleet, write_csv
 from .relaxed_solver import SingularSystemError, solve_eta
 from .sim import run_random, run_relaxed
 from .threshold import gamma_analytic, gamma_scan
@@ -71,9 +71,7 @@ def _cmd_run(args) -> int:
         out = os.path.join(out, f"{config.kind}_n{config.n}.csv")
     rows = run_scenario(config, out_path=out, jobs=args.jobs)
     if out is None:
-        print(",".join(COLUMNS))
-        for row in rows:
-            print(",".join(format(float(row[c]), ".9g") for c in COLUMNS))
+        write_csv(rows, sys.stdout)
     else:
         print(f"wrote {out} ({len(rows)} rows)")
     return _EXIT_OK

@@ -220,7 +220,7 @@ def trial_fleet(config: ScenarioConfig, x_idx: int = 0, trial: int = 0) -> list[
 def _run_trial(config: ScenarioConfig, x_idx: int, trial: int) -> dict:
     x = config.sweep[x_idx]
     seeds = _trial_seeds(config, x_idx, trial)
-    sensors = gen_sensors(config, x, np.random.default_rng(seeds[0]))
+    sensors = trial_fleet(config, x_idx, trial)
     sol = solve_eta(sensors)
     r_rand = run_random(sensors, config.horizon, seeds[1])
     r_rel = run_relaxed(sensors, sol.eta_star, config.horizon, seeds[2])
@@ -311,15 +311,21 @@ def run_scenario(config: ScenarioConfig, out_path=None, jobs: int = 1) -> list[d
 
 
 def write_csv(rows: list[dict], path) -> None:
-    """Write aggregated rows with the fixed header, values as %.9g."""
+    """Write aggregated rows with the fixed header, values as %.9g.
+
+    path is a file name or an open text stream such as sys.stdout.
+    """
+    if hasattr(path, "write"):
+        writer = csv.writer(path)
+        writer.writerow(COLUMNS)
+        for row in rows:
+            writer.writerow(format(float(row[c]), ".9g") for c in COLUMNS)
+        return
     parent = os.path.dirname(str(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for row in rows:
-            writer.writerow(format(float(row[c]), ".9g") for c in COLUMNS)
+        write_csv(rows, fh)
 
 
 def read_csv(path) -> list[dict]:

@@ -171,13 +171,14 @@ def sensor_rates(params: ChainParams, eta: float) -> PerSensorRates:
     rates from one structured solve of the renewal equations, whose
     oracles are sampling_rate/aoi_rate on build_system's dense kernel.
     When any branch is abandoned the observation walk reaches it almost
-    surely and polling dies out, so both long-run rates are zero. The
-    abandonment test reuses the threshold table, keeping these rates
-    consistent with the scan semantics down to float resolution.
+    surely and polling dies out, so both long-run rates are zero. A
+    branch is abandoned exactly when its running minimum, whose last
+    entry is the row's minimum, never drops below eta, so that test
+    runs before any threshold is computed and agrees with the scan.
     """
-    table = gamma_analytic(params, eta)
-    if table.has_never:
+    if (_runmin_cached(params)[:, -1] >= eta).any():
         return PerSensorRates(d_bar=0.0, r_bar=0.0)
+    table = gamma_analytic(params, eta)
     d_bar, r_bar = _renewal_rates(params, np.array(table.gamma, dtype=np.intp))
     return PerSensorRates(d_bar=float(d_bar), r_bar=float(r_bar))
 
@@ -262,26 +263,6 @@ class EtaSolution:
     monotone_ok: bool = True
 
 
-def _table_key(params: ChainParams, eta: float) -> tuple[ChainParams, int]:
-    # a threshold is the first slot whose running minimum is below eta, so
-    # every threshold only falls as eta rises and the count of
-    # running-minimum entries below eta names the sensor's whole table
-    return params, int(np.count_nonzero(_runmin_cached(params) < eta))
-
-
-def _fleet_rates(sensors: list[ChainParams], eta: float, solved: dict) -> list[PerSensorRates]:
-    # solved holds one solve per (sensor, threshold table), shared by equal
-    # sensors and by every cutoff that leaves the table unchanged; rates
-    # come back in fleet order
-    rates = []
-    for s in sensors:
-        key = _table_key(s, eta)
-        if key not in solved:
-            solved[key] = sensor_rates(s, eta)
-        rates.append(solved[key])
-    return rates
-
-
 def _candidate_grid(values: np.ndarray) -> np.ndarray:
     # the strictly increasing values interleaved with their midpoints; the
     # midpoint of two adjacent floats rounds onto one of them, and dropping
@@ -325,22 +306,31 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
     """
     if not sensors:
         raise ValueError("need at least one sensor")
-    # the distinct table values, sorted in place: np.unique gives the same
-    # array but loads numpy.ma on its first call
-    values = np.concatenate([_table_cached(s).ravel() for s in sensors])
+    # the distinct table values of the distinct sensors, sorted in place:
+    # np.unique gives the same array but loads numpy.ma on its first call
+    values = np.concatenate([_table_cached(s).ravel() for s in dict.fromkeys(sensors)])
     values.sort()
     values = values[np.append(True, values[1:] != values[:-1])]
     top = max(s.q + s.m * s.p for s in sensors) + _PAD
     grid = _candidate_grid(np.append(values, top))
 
-    # aggregate poll rate of every evaluated cutoff, and the rates of
-    # every (sensor, threshold table) solved so far
+    # aggregate poll rate and per-sensor rates (fleet order) of every
+    # evaluated cutoff, and one solve per (sensor, threshold table)
     evaluated: dict[float, float] = {}
+    per_sensor: dict[float, list[PerSensorRates]] = {}
     solved: dict[tuple[ChainParams, int], PerSensorRates] = {}
 
     def evaluate(eta: float) -> float:
         if eta not in evaluated:
-            evaluated[eta] = sum(r.d_bar for r in _fleet_rates(sensors, eta, solved))
+            per = per_sensor[eta] = []
+            for s in sensors:
+                # a threshold is the first slot whose running minimum is
+                # below eta, so the count of entries below eta names the table
+                key = s, int(np.count_nonzero(_runmin_cached(s) < eta))
+                if key not in solved:
+                    solved[key] = sensor_rates(s, eta)
+                per.append(solved[key])
+            evaluated[eta] = sum(r.d_bar for r in per)
         return evaluated[eta]
 
     if len(grid) <= _EXHAUSTIVE_BELOW:
@@ -371,8 +361,7 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
     if not monotone_ok:
         warnings.warn("aggregate poll rate not monotone on the evaluated grid")
 
-    # every table of eta_star is in the memo, so this solves nothing new
-    per, d_hat = _fleet_rates(sensors, eta_star, solved), evaluated[eta_star]
+    per, d_hat = per_sensor[eta_star], evaluated[eta_star]
     active = tuple(i for i, r in enumerate(per) if r.d_bar > 0.0)
     j_value = sum(r.r_bar for r in per) / d_hat if d_hat > 0 else math.nan
     return EtaSolution(

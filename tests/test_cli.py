@@ -37,6 +37,15 @@ def test_run_to_stdout(config_path, capsys):
     assert len(lines) == 3
 
 
+def test_run_to_stdout_writes_the_file_bytes(config_path, tmp_path, capsysbinary):
+    # one writer for both: the CSV's CRLF line ends reach stdout too
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 def test_run_to_file_and_rerun_identical(config_path, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -194,12 +194,29 @@ def test_iterate_intercept_stabilizes():
     assert np.max(np.abs(off_a - off_b)) < 1e-3
 
 
-def test_sensor_rates_zero_once_abandoned():
-    params = ChainParams(p=0.8, m=10)
-    for eta in (1.0, steady_expected_aoi(params) - 0.1):
-        rates = sensor_rates(params, eta)
-        assert rates.d_bar == 0.0
-        assert rates.r_bar == 0.0
+def test_sensor_rates_zero_once_abandoned(monkeypatch):
+    # probe every distinct table value and both its float neighbours: the
+    # rates are zero exactly where the scan abandons a branch, and those
+    # cutoffs never enter the Lambert route
+    real, entered = relaxed_solver.gamma_analytic, []
+
+    def counting(params, eta):
+        entered.append(eta)
+        return real(params, eta)
+
+    monkeypatch.setattr(relaxed_solver, "gamma_analytic", counting)
+    for p in (0.0, 0.3, 0.8, 0.99):
+        for m in (2, 3, 10, 30):
+            params = ChainParams(p=p, m=m)
+            values = np.unique(expected_aoi_table(params))
+            probes = [np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)]
+            for eta in np.concatenate(probes).tolist():
+                entered.clear()
+                rates = sensor_rates(params, eta)
+                never = gamma_scan(params, eta).has_never
+                assert (rates.d_bar == 0.0) == never, (p, m, eta)
+                assert (rates.r_bar == 0.0) == never, (p, m, eta)
+                assert entered == ([] if never else [eta]), (p, m, eta)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 0.9, 0.99])
@@ -322,14 +339,17 @@ def test_identical_sensors_are_solved_once(monkeypatch):
 @pytest.mark.parametrize("p", [0.0, 0.01, 0.5, 0.99])
 @pytest.mark.parametrize("m", [2, 3, 12, 100])
 def test_table_key_names_the_threshold_table(p, m):
-    # probe every distinct table value and both its float neighbours: equal
-    # keys must mean equal scanned tables, and distinct keys distinct ones
+    # solve_eta's memo key: the count of running-minimum entries below eta.
+    # Probe every distinct table value and both its float neighbours: equal
+    # counts must mean equal scanned tables, and distinct counts distinct ones
     params = ChainParams(p=p, m=m)
-    values = np.unique(expected_aoi_table(params))
+    table = expected_aoi_table(params)
+    runmin = np.minimum.accumulate(table, axis=1)
+    values = np.unique(table)
     probes = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
     tables = {}
     for eta in probes.tolist():
-        tables.setdefault(relaxed_solver._table_key(params, eta), set()).add(
+        tables.setdefault(int(np.count_nonzero(runmin < eta)), set()).add(
             gamma_scan(params, eta).gamma
         )
     assert all(len(t) == 1 for t in tables.values())
