@@ -284,7 +284,7 @@ def run_scenario(config: ScenarioConfig, out_path=None, jobs: int = 1) -> list[d
 
     Returns one dict per sweep point, keyed by COLUMNS; writes them to
     out_path as CSV when given. jobs > 1 farms trials out to worker
-    processes; jobs < 1 is a ConfigError.
+    processes, at most one per trial; jobs < 1 is a ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
@@ -294,14 +294,15 @@ def run_scenario(config: ScenarioConfig, out_path=None, jobs: int = 1) -> list[d
         for trial in range(config.trials)
     ]
     per_x: list[list[tuple[int, dict]]] = [[] for _ in config.sweep]
+    workers = min(jobs, len(tasks))  # a worker without a trial would idle
     with ExitStack() as stack:
         # both maps hand results back in task order
         mapper = map
-        if jobs > 1:
+        if workers > 1:
             # imported here: a serial run need not load multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         for x_idx, trial, res in mapper(_worker, tasks):
             per_x[x_idx].append((trial, res))
     rows = [_aggregate(config, x_idx, trials) for x_idx, trials in enumerate(per_x)]

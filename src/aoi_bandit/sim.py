@@ -12,8 +12,10 @@ depend on the policy, so it builds them per chunk in closed form from
 the sensors' uniforms; the policy returns the chunk's polls as int
 arrays (random draws them at once, the cutoff policy follows each
 sensor's chain of poll slots through its gamma_scan table by pointer
-doubling, greedy stays slot-sequential); array operations account them,
-each poll reading its branch off the sensor's last poll.
+doubling, greedy repeats its last pick without a scan while that
+sensor's next mean stays below every other sensor's current row
+minimum); array operations account them, each poll reading its branch
+off the sensor's last poll.
 
 True ages start from the stationary distribution and beliefs at the
 no-information branch; the first 10 * max(age cap) slots are burn-in,
@@ -146,26 +148,40 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
 def run_greedy(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult:
     """Each slot polls the sensor with the smallest branch mean, lowest index on ties."""
     # per sensor, its table rows as lists, each converted the first time
-    # the run reaches it
-    tabs = [_Rows(_table_cached(s)) for s in sensors]
-    order, isat = range(len(sensors)), [s.m - 2 for s in sensors]
+    # the run reaches it; each row's first entry (the mean one slot after
+    # a poll) and its minimum, which floors the sensor until its next poll
+    tables = [_table_cached(s) for s in sensors]
+    tabs, isat = [_Rows(t) for t in tables], [s.m - 2 for s in sensors]
+    firsts, mins = [t[:, 0].tolist() for t in tables], [t.min(axis=1).tolist() for t in tables]
+    order = range(len(sensors))
 
     def polls(t0, ages, obs, last, p_rng):
-        # each sensor's current row, and the chunk offset of the slot after
-        # its last poll, where the row's first entry (i = 1) applies; a
-        # poll that sees age a moves the sensor to row a - 1
+        # each sensor's current row and floor, and the chunk offset of the
+        # slot after its last poll, where the row's first entry (i = 1)
+        # applies; a poll that sees age a moves the sensor to row a - 1
         rows = [tab[o - 1] for tab, o in zip(tabs, obs.tolist())]
-        at, seen, picks = (last + 1 - t0).tolist(), (ages - 1).tolist(), []
-        for j in range(ages.shape[1]):
+        floors = [mn[o - 1] for mn, o in zip(mins, obs.tolist())]
+        at, seen, size = (last + 1 - t0).tolist(), (ages - 1).tolist(), ages.shape[1]
+        who, runs, j = [], [], 0
+        while j < size:
             best, bv = 0, math.inf
             for s in order:
-                d = j - at[s]
-                v = rows[s][d if d < isat[s] else isat[s]]
-                if v < bv:
-                    best, bv = s, v
-            picks.append(best)
-            rows[best], at[best] = tabs[best][seen[best][j]], j + 1
-        return np.arange(t0, t0 + len(picks)), np.array(picks)
+                if floors[s] < bv:  # else its mean cannot be below bv
+                    d = j - at[s]
+                    v = rows[s][d if d < isat[s] else isat[s]]
+                    if v < bv:
+                        best, bv = s, v
+            # while the winner's next mean is below every other floor, it is
+            # the unique minimum and polls again without a scan
+            floors[best] = math.inf
+            lb, first, sb, j0 = min(floors), firsts[best], seen[best], j
+            j += 1
+            while j < size and first[sb[j - 1]] < lb:
+                j += 1
+            who.append(best)
+            runs.append(j - j0)
+            rows[best], at[best], floors[best] = tabs[best][sb[j - 1]], j, mins[best][sb[j - 1]]
+        return np.arange(t0, t0 + size), np.repeat(who, runs)
 
     return _simulate(sensors, horizon, seed, polls)
 

@@ -177,6 +177,35 @@ def test_run_scenario_parallel_matches_serial():
     assert run_scenario(config, jobs=2) == run_scenario(config)
 
 
+@pytest.mark.parametrize(
+    "sweep, trials, jobs, workers",
+    [([0.3, 0.6], 2, 8, 4), ([0.3, 0.6], 2, 3, 3), ([0.3], 1, 4, None)],
+)
+def test_run_scenario_starts_no_idle_worker(monkeypatch, sweep, trials, jobs, workers):
+    # a fake pool records its size and maps in this process, so no worker
+    # process starts; a run of one trial in all stays serial
+    import concurrent.futures
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    config = _config(trials=trials, sweep=sweep)
+    assert run_scenario(config, jobs=jobs) == run_scenario(config)
+    assert started == ([] if workers is None else [workers])
+
+
 def test_csv_round_trip(tmp_path):
     config = _config()
     path = tmp_path / "rows.csv"

@@ -113,8 +113,60 @@ def _compare(result, twin):
     assert result.batch_means == pytest.approx(twin["batch_means"], abs=1e-12)
 
 
-def test_twin_replays_greedy():
-    _compare(run_greedy(FLEET, 2000, seed=5), _twin(FLEET, 2000, 5, "greedy"))
+@pytest.mark.parametrize(
+    "fleet",
+    [
+        FLEET,
+        [ChainParams(p=0.7, m=6)] * 4,
+        # every branch mean is 1 + p, so every slot is a three-way tie
+        [ChainParams(p=0.5, m=2)] * 3,
+        [ChainParams(p=0.8, m=10)],
+        [ChainParams(p=0.6, m=5), ChainParams(p=0.9, m=6), ChainParams(p=0.0, m=4)],
+        [ChainParams(p=0.6, m=2), ChainParams(p=0.8, m=3), ChainParams(p=0.9, m=8)],
+    ],
+    ids=["two-sensors", "identical", "m2-ties", "single", "perfect-channel", "mixed-caps"],
+)
+def test_twin_replays_greedy(fleet):
+    _compare(run_greedy(fleet, 2000, seed=5), _twin(fleet, 2000, 5, "greedy"))
+
+
+def _greedy_oracle(sensors, horizon, seed):
+    """Greedy as a full argmin over the fleet every slot, through sim._simulate."""
+    tables = [sim._table_cached(s).tolist() for s in sensors]
+
+    def polls(t0, ages, obs, last, p_rng):
+        rows = [table[o - 1] for table, o in zip(tables, obs.tolist())]
+        at, seen, picks = (last + 1 - t0).tolist(), (ages - 1).tolist(), []
+        for j in range(ages.shape[1]):
+            values = [row[min(j - a, len(row) - 1)] for row, a in zip(rows, at)]
+            best = values.index(min(values))  # the lowest index on ties
+            picks.append(best)
+            rows[best], at[best] = tables[best][seen[best][j]], j + 1
+        return np.arange(t0, t0 + len(picks)), np.array(picks)
+
+    return sim._simulate(sensors, horizon, seed, polls)
+
+
+def test_greedy_matches_the_per_slot_argmin_on_tied_tables(monkeypatch):
+    # branch means drawn from {1, 2, 3} tie everywhere, between sensors and
+    # along a row, so a repeat poll that skipped the scan on a tie with
+    # another sensor's floor would break the lowest-index rule; natural
+    # tables almost never tie and would not show it
+    rng = np.random.default_rng(24)
+    crafted = {}
+
+    def table(params):
+        if params not in crafted:
+            crafted[params] = rng.integers(1, 4, (params.m, params.m - 1)).astype(float)
+        return crafted[params]
+
+    monkeypatch.setattr(sim, "_table_cached", table)
+    for case in range(40):
+        fleet = [
+            ChainParams(p=float(rng.uniform(0.2, 0.9)), m=int(rng.integers(2, 6)))
+            for _ in range(rng.integers(2, 5))
+        ]
+        assert run_greedy(fleet, 400, case) == _greedy_oracle(fleet, 400, case), case
 
 
 def test_twin_replays_random():
@@ -204,10 +256,13 @@ def test_greedy_ties_go_to_the_lowest_index():
     "run",
     [
         lambda: run_greedy(FLEET, 3000, seed=11),
+        # greedy repeats a p = 0.9 sensor about eight slots at a time here,
+        # so 27 of the 30 chunk ends fall inside a run of repeat polls
+        lambda: run_greedy([ChainParams(p=0.9, m=40)] * 3, 3000, seed=11),
         lambda: run_random(FLEET, 3000, seed=11),
         lambda: run_relaxed(FLEET, 3.1, 3000, seed=11),
     ],
-    ids=["greedy", "random", "relaxed"],
+    ids=["greedy", "greedy-long-runs", "random", "relaxed"],
 )
 def test_chunk_boundaries_change_nothing(monkeypatch, run):
     # an odd draw chunk below the burn-in puts 30 chunk boundaries in the
