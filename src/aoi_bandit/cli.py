@@ -163,7 +163,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario config and emit the sweep CSV")
     p_run.add_argument("--config", required=True, help="path to a scenario JSON file")
     p_run.add_argument("--out", default=None, help="CSV file or directory (default: stdout)")
-    p_run.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p_run.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes (default 1); at most one per trial and per usable CPU",
+    )
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--horizon", type=int, default=None, help="override the config horizon")
     p_run.set_defaults(func=_cmd_run)

@@ -279,12 +279,21 @@ def _aggregate(config: ScenarioConfig, x_idx: int, trials: list[tuple[int, dict]
     return row
 
 
+def _usable_cpus() -> int:
+    # the CPUs this process may run on, where the platform says so
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_scenario(config: ScenarioConfig, out_path=None, jobs: int = 1) -> list[dict]:
     """Run every (sweep point, trial) pair and aggregate per sweep point.
 
     Returns one dict per sweep point, keyed by COLUMNS; writes them to
     out_path as CSV when given. jobs > 1 farms trials out to worker
-    processes, at most one per trial; jobs < 1 is a ConfigError.
+    processes, at most one per trial and one per usable CPU; jobs < 1 is
+    a ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
@@ -294,7 +303,8 @@ def run_scenario(config: ScenarioConfig, out_path=None, jobs: int = 1) -> list[d
         for trial in range(config.trials)
     ]
     per_x: list[list[tuple[int, dict]]] = [[] for _ in config.sweep]
-    workers = min(jobs, len(tasks))  # a worker without a trial would idle
+    # a worker without a trial would idle, one without a CPU would wait
+    workers = min(jobs, len(tasks), _usable_cpus())
     with ExitStack() as stack:
         # both maps hand results back in task order
         mapper = map

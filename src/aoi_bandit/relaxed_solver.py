@@ -11,12 +11,15 @@ sensors matches a budget of one poll per slot on average.
 The search runs sensor_rates: gamma_analytic thresholds, then one
 structured solve whose size is the number of distinct poll spacings.
 It makes one solve per distinct threshold table of each sensor, since
-cutoffs that leave a table unchanged leave its rates unchanged.
+cutoffs that leave a table unchanged leave its rates unchanged, and it
+counts which table a cutoff gives a sensor only where the evaluated
+cutoffs around it leave that open.
 build_system's dense kernel, solved by sampling_rate and aoi_rate, and
 iterate_recurrence stay as the oracles the tests check it against.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -263,14 +266,33 @@ class EtaSolution:
     monotone_ok: bool = True
 
 
+_UNSATURATED: dict[int, np.ndarray] = {}
+
+
+def _unsaturated(m: int) -> np.ndarray:
+    # the branches (k, i) of an m-row table with i + k <= m; every other
+    # entry equals the saturated one (i + k = m) of its column bit for bit
+    mask = _UNSATURATED.get(m)
+    if mask is None:
+        k, i = np.ogrid[1 : m + 1, 1:m]
+        mask = _UNSATURATED[m] = k + i <= m
+        mask.setflags(write=False)
+    return mask
+
+
 def _candidate_grid(values: np.ndarray) -> np.ndarray:
     # the strictly increasing values interleaved with their midpoints; the
     # midpoint of two adjacent floats rounds onto one of them, and dropping
-    # that repeat leaves the sorted union without a second sort
+    # that repeat leaves the sorted union without a second sort. Built in
+    # place: the grid is the largest array of a search
     grid = np.empty(2 * len(values) - 1)
     grid[0::2] = values
-    grid[1::2] = (values[1:] + values[:-1]) / 2.0
-    return grid[np.diff(grid, prepend=-np.inf) > 0]
+    np.add(values[1:], values[:-1], out=grid[1::2])
+    grid[1::2] /= 2.0
+    keep = np.empty(len(grid), dtype=bool)
+    keep[0] = True
+    np.greater(grid[1:], grid[:-1], out=keep[1:])
+    return grid[keep]
 
 
 def _pick(evaluated: dict[float, float]) -> float:
@@ -296,6 +318,17 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
     as an earlier cutoff had it reuses that cutoff's rates, which are
     the same numbers.
 
+    The search evaluates only what it does not already know. A table is
+    named by its key, the count of running-minimum entries below the
+    cutoff, which cannot fall as the cutoff rises; so a sensor whose
+    keys agree at the nearest evaluated cutoffs on either side keeps
+    that key in between, and only the others are counted. At the padded
+    top every sensor polls every slot, so a bisected grid of n >= 3
+    sensors takes its aggregate as n without solving it: that opens the
+    bracket above the zero rate at the smallest table value, and its gap
+    to the budget, n - 1 >= 2, never wins over that zero rate's gap of 1.
+    With one or two sensors the top is solved, since rounding decides.
+
     When the aggregate rate jumps from 0 straight to 2 or more, the
     zero rate is the closest to the budget (or the feasible side of a
     tie), and the solution polls nothing, without a warning. At m = 2
@@ -306,30 +339,50 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
     """
     if not sensors:
         raise ValueError("need at least one sensor")
-    # the distinct table values of the distinct sensors, sorted in place:
-    # np.unique gives the same array but loads numpy.ma on its first call
-    values = np.concatenate([_table_cached(s).ravel() for s in dict.fromkeys(sensors)])
+    # the distinct sensors in first-seen order, and each fleet slot's
+    # index among them
+    distinct = list(dict.fromkeys(sensors))
+    ids = {s: i for i, s in enumerate(distinct)}
+    fleet = [ids[s] for s in sensors]
+    # their distinct table values, sorted in place (np.unique gives the
+    # same array but loads numpy.ma on its first call); the saturated
+    # entries repeat a value of the unsaturated ones and stay out
+    values = np.concatenate([_table_cached(s)[_unsaturated(s.m)] for s in distinct])
     values.sort()
     values = values[np.append(True, values[1:] != values[:-1])]
     top = max(s.q + s.m * s.p for s in sensors) + _PAD
     grid = _candidate_grid(np.append(values, top))
+    # taken after the grid, so they do not sit under its temporaries
+    runmins = [_runmin_cached(s) for s in distinct]
 
     # aggregate poll rate and per-sensor rates (fleet order) of every
     # evaluated cutoff, and one solve per (sensor, threshold table)
     evaluated: dict[float, float] = {}
     per_sensor: dict[float, list[PerSensorRates]] = {}
-    solved: dict[tuple[ChainParams, int], PerSensorRates] = {}
+    solved: dict[tuple[int, int], PerSensorRates] = {}
+    # the table keys of the distinct sensors at each cutoff where they are
+    # known, and those cutoffs in order. A threshold is the first slot
+    # whose running minimum is below eta, so the count of entries below
+    # eta names the table; no entry is below the smallest table value,
+    # and every one is below the top
+    keys = {float(grid[0]): [0] * len(distinct), top: [r.size for r in runmins]}
+    known = sorted(keys)
 
     def evaluate(eta: float) -> float:
         if eta not in evaluated:
-            per = per_sensor[eta] = []
-            for s in sensors:
-                # a threshold is the first slot whose running minimum is
-                # below eta, so the count of entries below eta names the table
-                key = s, int(np.count_nonzero(_runmin_cached(s) < eta))
-                if key not in solved:
-                    solved[key] = sensor_rates(s, eta)
-                per.append(solved[key])
+            if eta not in keys:
+                j = bisect.bisect(known, eta)
+                below, above = keys[known[j - 1]], keys[known[j]]
+                keys[eta] = [
+                    a if a == b else int(np.count_nonzero(r < eta))
+                    for a, b, r in zip(below, above, runmins)
+                ]
+                known.insert(j, eta)
+            ks = keys[eta]
+            for i, key in enumerate(ks):
+                if (i, key) not in solved:
+                    solved[i, key] = sensor_rates(distinct[i], eta)
+            per = per_sensor[eta] = [solved[i, ks[i]] for i in fleet]
             evaluated[eta] = sum(r.d_bar for r in per)
         return evaluated[eta]
 
@@ -338,7 +391,9 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
             evaluate(float(eta))
     else:
         lo, hi = 0, len(grid) - 1
-        d_lo, d_hi = evaluate(float(grid[lo])), evaluate(float(grid[hi]))
+        d_lo = evaluate(float(grid[lo]))
+        # every sensor polls every slot at the top; rounding decides for n <= 2
+        d_hi = evaluate(top) if len(sensors) <= 2 else float(len(sensors))
         if d_lo < 1.0 <= d_hi:
             while hi - lo > 1:
                 mid = (lo + hi) // 2

@@ -9,13 +9,13 @@ true age takes its chain step and every belief branch either resets to
 One engine runs every policy, a draw chunk at a time; a chunk of
 _CHUNK slots keeps each per-sensor array in cache. True ages do not
 depend on the policy, so it builds them per chunk in closed form from
-the sensors' uniforms; the policy returns the chunk's polls as int
-arrays (random draws them at once, the cutoff policy follows each
-sensor's chain of poll slots through its gamma_scan table by pointer
-doubling, greedy repeats its last pick without a scan while that
-sensor's next mean stays below every other sensor's current row
-minimum); array operations account them, each poll reading its branch
-off the sensor's last poll.
+the sensors' uniforms, in one buffer that every chunk reuses; the
+policy returns the chunk's polls as int arrays (random draws them at
+once, the cutoff policy follows each sensor's chain of poll slots
+through its gamma_scan table by pointer doubling, greedy repeats its
+last pick without a scan while that sensor's next mean stays below
+every other sensor's current row minimum); array operations account
+them, each poll reading its branch off the sensor's last poll.
 
 True ages start from the stationary distribution and beliefs at the
 no-information branch; the first 10 * max(age cap) slots are burn-in,
@@ -66,15 +66,25 @@ class SimResult:
     seed: int
 
 
-def _age_path(params: ChainParams, start: int, u: np.ndarray) -> np.ndarray:
-    """True ages before each slot of a chunk, plus the age after it.
+def _true_ages(
+    q: np.ndarray, m: np.ndarray, start: np.ndarray, u: np.ndarray, ages: np.ndarray
+) -> None:
+    """Fill ages with the true ages of every sensor over one chunk.
 
-    The age before slot j is the number of slots since the last delivery
-    (u < q) in the chunk, or start + j when there was none, capped at m.
+    ages[s, j] becomes sensor s's age before slot j of the chunk, and
+    the last column its age after it: the number of slots since the last
+    delivery (u < q) in the chunk, or start + j when there was none,
+    capped at m.
     """
-    slots = np.arange(len(u) + 1)
-    origin = np.r_[-start, np.where(u < params.q, slots[:-1], -start)]
-    return np.minimum(slots - np.maximum.accumulate(origin), params.m)
+    # the slot of the last delivery before each column, -start if none,
+    # by a running maximum over the delivery slots scattered onto -start
+    ages[:] = -start[:, None]
+    for row, x, qs in zip(ages, u, q.tolist()):
+        slot = np.flatnonzero(x < qs)
+        row[slot + 1] = slot
+    np.maximum.accumulate(ages, axis=1, out=ages)
+    np.subtract(np.arange(ages.shape[1]), ages, out=ages)
+    np.minimum(ages, m[:, None], out=ages)
 
 
 def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> SimResult:
@@ -106,11 +116,20 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
 
     exp_sum, counts = 0.0, np.zeros(n, dtype=np.int64)
     b_obs, b_cnt = np.zeros(nb), np.zeros(nb, dtype=np.int64)
-    # stationary starting ages; the last column starts the next chunk
-    ages = np.array([[rng.choice(s.m, p=steady_state(s)) + 1] for s, rng in zip(sensors, s_rngs)])
+    # one chunk's uniforms and true ages, reused by every chunk; the
+    # stationary starting ages, and then each chunk's last column, start
+    # the next chunk
+    q = np.array([s.q for s in sensors])
+    size = min(_CHUNK, horizon)
+    u_buf, age_buf = np.empty((n, size)), np.empty((n, size + 1), dtype=np.int64)
+    start = np.array([rng.choice(s.m, p=steady_state(s)) + 1 for s, rng in zip(sensors, s_rngs)])
     for t0 in range(0, horizon, _CHUNK):
-        u = [rng.random(min(_CHUNK, horizon - t0)) for rng in s_rngs]
-        ages = np.array([_age_path(s, a, x) for s, a, x in zip(sensors, ages[:, -1].tolist(), u)])
+        size = min(_CHUNK, horizon - t0)
+        u, ages = u_buf[:, :size], age_buf[:, : size + 1]
+        for rng, row in zip(s_rngs, u):
+            rng.random(out=row)
+        _true_ages(q, m, start, u, ages)
+        start = ages[:, -1].copy()
         slots, who = polls(t0, ages[:, :-1], obs, last, p_rng)
         seen = ages[who, slots - t0]
         # group the polls by sensor, keeping slot order, so that each reads

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -177,13 +178,9 @@ def test_run_scenario_parallel_matches_serial():
     assert run_scenario(config, jobs=2) == run_scenario(config)
 
 
-@pytest.mark.parametrize(
-    "sweep, trials, jobs, workers",
-    [([0.3, 0.6], 2, 8, 4), ([0.3, 0.6], 2, 3, 3), ([0.3], 1, 4, None)],
-)
-def test_run_scenario_starts_no_idle_worker(monkeypatch, sweep, trials, jobs, workers):
+def _record_pool_sizes(monkeypatch, cpus):
     # a fake pool records its size and maps in this process, so no worker
-    # process starts; a run of one trial in all stays serial
+    # process starts; the usable CPU count is fixed, not the host's
     import concurrent.futures
 
     started = []
@@ -201,9 +198,39 @@ def test_run_scenario_starts_no_idle_worker(monkeypatch, sweep, trials, jobs, wo
         map = staticmethod(map)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    return started
+
+
+@pytest.mark.parametrize(
+    "sweep, trials, jobs, workers",
+    [([0.3, 0.6], 2, 8, 4), ([0.3, 0.6], 2, 3, 3), ([0.3], 1, 4, None)],
+)
+def test_run_scenario_starts_no_idle_worker(monkeypatch, sweep, trials, jobs, workers):
+    # a run of one trial in all stays serial
+    started = _record_pool_sizes(monkeypatch, cpus=64)
     config = _config(trials=trials, sweep=sweep)
     assert run_scenario(config, jobs=jobs) == run_scenario(config)
     assert started == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [(2, 8, 2), (3, 8, 3), (1, 4, None)])
+def test_run_scenario_starts_no_worker_past_the_cpus(monkeypatch, cpus, jobs, workers):
+    # four trials; a single usable CPU keeps the run serial
+    started = _record_pool_sizes(monkeypatch, cpus=cpus)
+    config = _config(trials=2, sweep=[0.3, 0.6])
+    assert run_scenario(config, jobs=jobs) == run_scenario(config)
+    assert started == ([] if workers is None else [workers])
+
+
+def test_usable_cpus_reads_the_affinity_then_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    assert experiments._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert experiments._usable_cpus() == 16
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert experiments._usable_cpus() == 1
 
 
 def test_csv_round_trip(tmp_path):

@@ -15,7 +15,8 @@ import pytest
 from aoi_bandit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-CONFIGS = sorted(GOLDEN.glob("*.json"))
+# eta_solutions.json holds solver reprs, which test_relaxed_solver checks
+CONFIGS = sorted(p for p in GOLDEN.glob("*.json") if p.name != "eta_solutions.json")
 
 
 def test_every_config_has_its_csv():

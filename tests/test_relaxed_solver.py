@@ -1,5 +1,8 @@
 """Renewal-rate solver for the per-sensor cutoff policy."""
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,3 +386,46 @@ def test_solve_eta_polls_nothing_when_zero_is_closest():
     assert solution.active == ()
     assert math.isnan(solution.j_value)
     assert solution.monotone_ok
+
+
+# repr(solve_eta(fleet)) of 40 fleets, written by the solver that counted
+# every sensor's key at every cutoff and solved the padded top on every
+# grid: the acceptance-shaped gaussian fleets (the first is perfbench's
+# non-monotone hetero_trials reference fleet, seed 0, x index 0, trial 0),
+# a rate that dips, ulp-different means of equal sensors, bisected grids of
+# one and two sensors, a fleet that polls nothing, mixed caps, p = 0 and
+# p near 1
+ETA_SOLUTIONS = json.loads((Path(__file__).parent / "golden" / "eta_solutions.json").read_text())
+
+
+@pytest.mark.parametrize("case", ETA_SOLUTIONS, ids=lambda case: case["name"])
+def test_solve_eta_reproduces_golden_reprs(case):
+    fleet = [ChainParams(p=p, m=m) for p, m in case["sensors"]]
+    with warnings.catch_warnings():
+        # non-monotone fleets warn; monotone_ok is part of the repr
+        warnings.simplefilter("ignore")
+        assert repr(solve_eta(fleet)) == case["repr"]
+
+
+@pytest.mark.parametrize(
+    "ps, solved_at_top",
+    [([0.7], True), ([0.5, 0.7], True), ([0.4, 0.6, 0.8], False), ([0.8] * 3, False)],
+)
+def test_padded_top_is_solved_for_one_or_two_sensors_only(monkeypatch, ps, solved_at_top):
+    # at the top every sensor polls every slot, so from three sensors on
+    # (equal ones included) the aggregate is known to be n, which opens
+    # the bracket and never wins; below three, rounding decides
+    fleet = [ChainParams(p=p, m=40) for p in ps]
+    top = max(s.q + s.m * s.p for s in fleet) + relaxed_solver._PAD
+    values = np.unique(np.concatenate([expected_aoi_table(s).ravel() for s in fleet]))
+    grid = relaxed_solver._candidate_grid(np.append(values, top))
+    assert len(grid) > relaxed_solver._EXHAUSTIVE_BELOW  # bisected
+    real, etas = relaxed_solver.sensor_rates, []
+
+    def recording(params, eta):
+        etas.append(eta)
+        return real(params, eta)
+
+    monkeypatch.setattr(relaxed_solver, "sensor_rates", recording)
+    solve_eta(fleet)
+    assert etas and (top in etas) == solved_at_top

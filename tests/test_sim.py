@@ -274,22 +274,22 @@ def test_chunk_boundaries_change_nothing(monkeypatch, run):
 
 def test_policies_see_common_true_ages(monkeypatch):
     # true ages come only from each sensor's own stream, so every policy
-    # run at one seed builds the same age paths, chunk by chunk
-    real, paths = sim._age_path, []
+    # run at one seed builds the same ages, chunk by chunk
+    real, chunks = sim._true_ages, []
 
-    def recording(params, start, u):
-        paths[-1].append(real(params, start, u))
-        return paths[-1][-1]
+    def recording(q, m, start, u, ages):
+        real(q, m, start, u, ages)
+        chunks[-1].append(ages.copy())  # the next chunk reuses the buffer
 
-    monkeypatch.setattr(sim, "_age_path", recording)
+    monkeypatch.setattr(sim, "_true_ages", recording)
     monkeypatch.setattr(sim, "_CHUNK", 97)
     for run in (run_greedy, run_random, lambda f, h, s: run_relaxed(f, 4.2, h, s)):
-        paths.append([])
+        chunks.append([])
         run(MIXED, 2000, 8)
-    assert len(paths[0]) == 3 * math.ceil(2000 / 97)
-    for other in paths[1:]:
-        assert len(other) == len(paths[0])
-        assert all(np.array_equal(a, b) for a, b in zip(paths[0], other))
+    assert len(chunks[0]) == math.ceil(2000 / 97)
+    for other in chunks[1:]:
+        assert len(other) == len(chunks[0])
+        assert all(np.array_equal(a, b) for a, b in zip(chunks[0], other))
 
 
 def test_runs_are_reproducible():
