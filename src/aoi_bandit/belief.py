@@ -109,31 +109,26 @@ def expected_aoi_table(params: ChainParams) -> np.ndarray:
     return base[None, :] + pi_[None, :] * reach
 
 
-_TABLES = weakref.WeakKeyDictionary()
+def _weak_cache(build):
+    # one shared read-only copy of build's array per distinct sensor, for
+    # the hot search paths; it goes when the sensor that first asked does
+    store = weakref.WeakKeyDictionary()
+
+    def cached(params: ChainParams) -> np.ndarray:
+        value = store.get(params)
+        if value is None:
+            value = store[params] = build(params)
+            value.setflags(write=False)
+        return value
+
+    return cached
 
 
-def _table_cached(params: ChainParams) -> np.ndarray:
-    # shared read-only copy for the hot search paths, one per distinct
-    # sensor; it goes when the sensor that first asked for it does
-    table = _TABLES.get(params)
-    if table is None:
-        table = _TABLES[params] = expected_aoi_table(params)
-        table.setflags(write=False)
-    return table
-
-
-_RUNMINS = weakref.WeakKeyDictionary()
-
-
-def _runmin_cached(params: ChainParams) -> np.ndarray:
-    # running minimum along each row of the cached table: entry [k - 1, j]
-    # is the smallest mean of branch k over its first j + 1 slots; kept
-    # and dropped like the table itself
-    runmin = _RUNMINS.get(params)
-    if runmin is None:
-        runmin = _RUNMINS[params] = np.minimum.accumulate(_table_cached(params), axis=1)
-        runmin.setflags(write=False)
-    return runmin
+# the builders look expected_aoi_table up on each call, so a patched one is seen
+_table_cached = _weak_cache(lambda params: expected_aoi_table(params))
+# running minimum along each row of the cached table: entry [k - 1, j] is
+# the smallest mean of branch k over its first j + 1 slots
+_runmin_cached = _weak_cache(lambda params: np.minimum.accumulate(_table_cached(params), axis=1))
 
 
 def steady_expected_aoi(params: ChainParams) -> float:

@@ -69,10 +69,9 @@ def _cmd_run(args) -> int:
     out = args.out
     if out is not None and (os.path.isdir(out) or out.endswith(os.sep)):
         out = os.path.join(out, f"{config.kind}_n{config.n}.csv")
-    rows = run_scenario(config, out_path=out, jobs=args.jobs)
-    if out is None:
-        write_csv(rows, sys.stdout)
-    else:
+    rows = run_scenario(config, jobs=args.jobs)
+    write_csv(rows, sys.stdout if out is None else out)
+    if out is not None:
         print(f"wrote {out} ({len(rows)} rows)")
     return _EXIT_OK
 

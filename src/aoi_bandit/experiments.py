@@ -85,6 +85,11 @@ class ScenarioConfig:
         for x in self.sweep:
             if not isinstance(x, (int, float)) or not math.isfinite(x):
                 raise ConfigError(f"sweep points must be finite numbers, got {x!r}")
+            # gen_sensors' range rule, at load and not after the earlier points'
+            # trials; the spreads that draw nothing are checked on their fleet
+            _check_width(self.kind, x)
+            if self.kind in ("symmetric", "asym_deterministic"):
+                gen_sensors(self, x, None)
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if self.kind == "asym_deterministic" and self.trials != 1:
@@ -125,20 +130,25 @@ def load_config(source) -> ScenarioConfig:
     return ScenarioConfig(**raw)
 
 
+def _check_width(kind: str, x: float) -> None:
+    # the width rule of the drawn spreads
+    if kind == "asym_uniform" and not 0.0 <= x < 1.0:
+        raise ConfigError(f"uniform spread width must be in [0, 1), got {x}")
+    if kind == "asym_gaussian" and x < 0.0:
+        raise ConfigError(f"gaussian spread needs a nonnegative width, got {x}")
+
+
 def gen_sensors(config: ScenarioConfig, x: float, draw_rng: np.random.Generator) -> list[ChainParams]:
     """Materialize the fleet for one trial at sweep point x."""
     n = config.n
+    _check_width(config.kind, x)
     if config.kind == "symmetric":
         ps = [x] * n
     elif config.kind == "asym_deterministic":
         ps = [0.5 + (i - (n + 1) / 2.0) * x / (n - 1) for i in range(1, n + 1)]
     elif config.kind == "asym_uniform":
-        if not 0.0 <= x < 1.0:
-            raise ConfigError(f"uniform spread width must be in [0, 1), got {x}")
         ps = draw_rng.uniform(0.5 - x / 2.0, 0.5 + x / 2.0, n)
     else:
-        if x < 0.0:
-            raise ConfigError(f"gaussian spread needs a nonnegative width, got {x}")
         ps = draw_rng.normal(0.5, x, n)
         bad = (ps <= 0.0) | (ps >= 1.0)
         while bad.any():
@@ -287,13 +297,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_scenario(config: ScenarioConfig, out_path=None, jobs: int = 1) -> list[dict]:
+def run_scenario(config: ScenarioConfig, jobs: int = 1) -> list[dict]:
     """Run every (sweep point, trial) pair and aggregate per sweep point.
 
-    Returns one dict per sweep point, keyed by COLUMNS; writes them to
-    out_path as CSV when given. jobs > 1 farms trials out to worker
-    processes, at most one per trial and one per usable CPU; jobs < 1 is
-    a ConfigError.
+    Returns one dict per sweep point, keyed by COLUMNS, for write_csv.
+    jobs > 1 farms trials out to worker processes, at most one per trial
+    and one per usable CPU; jobs < 1 is a ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
@@ -315,10 +324,7 @@ def run_scenario(config: ScenarioConfig, out_path=None, jobs: int = 1) -> list[d
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         for x_idx, trial, res in mapper(_worker, tasks):
             per_x[x_idx].append((trial, res))
-    rows = [_aggregate(config, x_idx, trials) for x_idx, trials in enumerate(per_x)]
-    if out_path is not None:
-        write_csv(rows, out_path)
-    return rows
+    return [_aggregate(config, x_idx, trials) for x_idx, trials in enumerate(per_x)]
 
 
 def write_csv(rows: list[dict], path) -> None:

@@ -20,6 +20,7 @@ iterate_recurrence stay as the oracles the tests check it against.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -266,25 +267,21 @@ class EtaSolution:
     monotone_ok: bool = True
 
 
-_UNSATURATED: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _unsaturated(m: int) -> np.ndarray:
     # the branches (k, i) of an m-row table with i + k <= m; every other
     # entry equals the saturated one (i + k = m) of its column bit for bit
-    mask = _UNSATURATED.get(m)
-    if mask is None:
-        k, i = np.ogrid[1 : m + 1, 1:m]
-        mask = _UNSATURATED[m] = k + i <= m
-        mask.setflags(write=False)
+    k, i = np.ogrid[1 : m + 1, 1:m]
+    mask = k + i <= m
+    mask.setflags(write=False)
     return mask
 
 
 def _candidate_grid(values: np.ndarray) -> np.ndarray:
-    # the strictly increasing values interleaved with their midpoints; the
-    # midpoint of two adjacent floats rounds onto one of them, and dropping
-    # that repeat leaves the sorted union without a second sort. Built in
-    # place: the grid is the largest array of a search
+    # the sorted values interleaved with their midpoints, in which only
+    # equal values and the midpoints of adjacent floats (rounded onto an
+    # end) repeat; keeping strict increases leaves the sorted union without
+    # a second sort or a dedupe. Built in place: the grid is the largest array
     grid = np.empty(2 * len(values) - 1)
     grid[0::2] = values
     np.add(values[1:], values[:-1], out=grid[1::2])
@@ -344,21 +341,19 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
     distinct = list(dict.fromkeys(sensors))
     ids = {s: i for i, s in enumerate(distinct)}
     fleet = [ids[s] for s in sensors]
-    # their distinct table values, sorted in place (np.unique gives the
-    # same array but loads numpy.ma on its first call); the saturated
-    # entries repeat a value of the unsaturated ones and stay out
-    values = np.concatenate([_table_cached(s)[_unsaturated(s.m)] for s in distinct])
-    values.sort()
-    values = values[np.append(True, values[1:] != values[:-1])]
+    # their unsaturated table values (the rest repeat them) and the padded
+    # top, which sorts last; sorted in place, as np.unique loads numpy.ma
+    # on its first call, and the grid drops the repeats
     top = max(s.q + s.m * s.p for s in sensors) + _PAD
-    grid = _candidate_grid(np.append(values, top))
+    values = np.concatenate([_table_cached(s)[_unsaturated(s.m)] for s in distinct] + [[top]])
+    values.sort()
+    grid = _candidate_grid(values)
     # taken after the grid, so they do not sit under its temporaries
     runmins = [_runmin_cached(s) for s in distinct]
 
-    # aggregate poll rate and per-sensor rates (fleet order) of every
-    # evaluated cutoff, and one solve per (sensor, threshold table)
+    # aggregate poll rate of every evaluated cutoff, and one solve per (sensor,
+    # threshold table): distinct sensor i's rates at eta are solved[i, keys[eta][i]]
     evaluated: dict[float, float] = {}
-    per_sensor: dict[float, list[PerSensorRates]] = {}
     solved: dict[tuple[int, int], PerSensorRates] = {}
     # the table keys of the distinct sensors at each cutoff where they are
     # known, and those cutoffs in order. A threshold is the first slot
@@ -382,8 +377,7 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
             for i, key in enumerate(ks):
                 if (i, key) not in solved:
                     solved[i, key] = sensor_rates(distinct[i], eta)
-            per = per_sensor[eta] = [solved[i, ks[i]] for i in fleet]
-            evaluated[eta] = sum(r.d_bar for r in per)
+            evaluated[eta] = sum(solved[i, ks[i]].d_bar for i in fleet)
         return evaluated[eta]
 
     if len(grid) <= _EXHAUSTIVE_BELOW:
@@ -410,13 +404,14 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
             evaluate((float(grid[nb]) + eta_star) / 2.0)
     eta_star = _pick(evaluated)
 
-    etas = sorted(evaluated)
-    rates = [evaluated[e] for e in etas]
+    # known is sorted and holds every evaluated cutoff (and the top)
+    rates = [evaluated[e] for e in known if e in evaluated]
     monotone_ok = all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
     if not monotone_ok:
         warnings.warn("aggregate poll rate not monotone on the evaluated grid")
 
-    per, d_hat = per_sensor[eta_star], evaluated[eta_star]
+    ks, d_hat = keys[eta_star], evaluated[eta_star]
+    per = [solved[i, ks[i]] for i in fleet]
     active = tuple(i for i, r in enumerate(per) if r.d_bar > 0.0)
     j_value = sum(r.r_bar for r in per) / d_hat if d_hat > 0 else math.nan
     return EtaSolution(

@@ -113,13 +113,21 @@ def test_table_matches_scalar():
             assert abs(table[k - 1, i - 1] - expected_aoi(params, BranchState(k=k, i=i, m=12))) < 1e-12
 
 
-def test_equal_sensors_share_one_read_only_table():
+@pytest.mark.parametrize(
+    "cached, build",
+    [
+        ("_table_cached", expected_aoi_table),
+        ("_runmin_cached", lambda s: np.minimum.accumulate(expected_aoi_table(s), axis=1)),
+    ],
+    ids=["table", "runmin"],
+)
+def test_equal_sensors_share_one_read_only_table(cached, build):
     a, b = ChainParams(p=0.37, m=9), ChainParams(p=0.37, m=9)
     assert a is not b
-    table = belief._table_cached(a)
-    assert belief._table_cached(b) is table
+    table = getattr(belief, cached)(a)
+    assert getattr(belief, cached)(b) is table
     assert not table.flags.writeable
-    assert np.array_equal(table, expected_aoi_table(a))
+    assert np.array_equal(table, build(a))
 
 
 def test_tables_go_with_their_fleets(monkeypatch):

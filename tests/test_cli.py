@@ -121,6 +121,26 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "unknown kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"sweep": [0.4, 1.2]},
+        {"kind": "symmetric", "sweep": [0.4, 1.0]},
+        {"kind": "asym_gaussian", "sweep": [0.1, -0.2]},
+        {"kind": "asym_deterministic", "sweep": [0.4, 1.0]},
+    ],
+    ids=["uniform", "symmetric", "gaussian", "deterministic"],
+)
+def test_bad_sweep_point_exits_2_before_any_trial(tmp_path, monkeypatch, capsys, bad):
+    calls = []
+    monkeypatch.setattr(aoi_bandit.experiments, "_run_trial", lambda *args: calls.append(args))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(CONFIG, **bad)))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
 def test_bad_env_seed_exits_2(config_path, monkeypatch, capsys):
     monkeypatch.setenv("AOI_BANDIT_SEED", "many")
     assert main(["run", "--config", str(config_path)]) == 2

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,32 @@ def test_config_deterministic_constraints():
         load_config(dict(base, trials=3))
     with pytest.raises(ConfigError):
         load_config(dict(base, n=1))
+
+
+# sweep points outside gen_sensors' range rule, each after a good point
+BAD_POINTS = [
+    ("asym_uniform", [0.4, 1.2], "uniform spread width must be in [0, 1), got 1.2"),
+    ("symmetric", [0.5, 1.0], "symmetric at x=1.0: failure probability"),
+    ("asym_gaussian", [0.1, -0.2], "gaussian spread needs a nonnegative width, got -0.2"),
+    ("asym_deterministic", [0.5, 1.0], "asym_deterministic at x=1.0: failure probability"),
+    ("asym_deterministic", [0.5, -1.5], "asym_deterministic at x=-1.5: failure probability"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, sweep, message",
+    BAD_POINTS,
+    ids=["uniform-1.2", "symmetric-1.0", "gaussian-neg", "deterministic-1.0", "deterministic-neg"],
+)
+def test_load_config_applies_the_range_rule_to_every_point(kind, sweep, message):
+    payload = dict(GOOD, kind=kind, sweep=sweep, trials=1)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(payload)
+    # the same error gen_sensors raises when it meets the point
+    config = load_config(dict(payload, sweep=sweep[:1]))
+    with pytest.raises(ConfigError) as raised:
+        gen_sensors(config, sweep[1], np.random.default_rng(0))
+    assert message in str(raised.value)
 
 
 def test_missing_config_file():
@@ -236,7 +263,8 @@ def test_usable_cpus_reads_the_affinity_then_the_cpu_count(monkeypatch):
 def test_csv_round_trip(tmp_path):
     config = _config()
     path = tmp_path / "rows.csv"
-    rows = run_scenario(config, out_path=path)
+    rows = run_scenario(config)
+    write_csv(rows, path)
     back = read_csv(path)
     assert len(back) == len(rows)
     for row, parsed in zip(rows, back):

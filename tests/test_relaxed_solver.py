@@ -374,6 +374,29 @@ def test_candidate_grid_is_the_sorted_union():
     for values in cases:
         union = np.unique(np.concatenate([values, (values[1:] + values[:-1]) / 2.0]))
         assert relaxed_solver._candidate_grid(values).tolist() == union.tolist()
+    # sorted values with repeats, the padded top among them, give the grid
+    # of their distinct values, so the solver dedupes nothing itself
+    repeated = [np.array([below, below, one, one, one, above, 3.0, 3.0])]
+    for fleet in fleets:
+        top = max(s.q + s.m * s.p for s in fleet) + relaxed_solver._PAD
+        values = np.concatenate([expected_aoi_table(s).ravel() for s in fleet + fleet] + [[top]])
+        values.sort()
+        assert values[-1] == top > values[-2]
+        repeated.append(values)
+    for values in repeated:
+        distinct = np.unique(values)
+        assert len(distinct) < len(values)
+        assert relaxed_solver._candidate_grid(values).tolist() == (
+            relaxed_solver._candidate_grid(distinct).tolist()
+        )
+
+
+def test_unsaturated_mask_is_shared_and_read_only():
+    mask = relaxed_solver._unsaturated(7)
+    assert relaxed_solver._unsaturated(7) is mask
+    assert not mask.flags.writeable
+    k, i = np.ogrid[1:8, 1:7]
+    assert np.array_equal(mask, k + i <= 7)
 
 
 def test_solve_eta_polls_nothing_when_zero_is_closest():
