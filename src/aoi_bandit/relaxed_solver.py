@@ -23,7 +23,7 @@ import bisect
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -246,6 +246,14 @@ _PAD = 1.0
 
 
 @dataclass(frozen=True)
+class SearchRecord:
+    """What one cutoff search computed, in the order it computed it."""
+
+    evaluated: tuple[tuple[float, float], ...]  # (cutoff, aggregate poll rate)
+    solves: tuple[tuple[int, float], ...]  # (sensor's first index, eta) per sensor_rates call
+
+
+@dataclass(frozen=True)
 class EtaSolution:
     """Result of the cutoff search.
 
@@ -253,7 +261,9 @@ class EtaSolution:
     polled under eta_star; d_hat is their aggregate poll rate; j_value
     is the per-poll mean age of the tuned policy, nan when nothing is
     polled. monotone_ok reports the empirical monotonicity check of the
-    aggregate rate along the evaluated grid.
+    aggregate rate along the evaluated grid, whose dips can be last-bit
+    artifacts of cutoffs one ulp apart. record, outside repr and ==, is
+    what the search computed, by sensor index, so it pins no table.
 
     A solution that polls nothing (d_hat = 0.0, active = (), j_value =
     nan) is a valid result, not an error: solve_eta returns it when no
@@ -265,6 +275,7 @@ class EtaSolution:
     active: tuple[int, ...]
     j_value: float
     monotone_ok: bool = True
+    record: SearchRecord | None = field(default=None, repr=False, compare=False)
 
 
 @functools.cache
@@ -355,6 +366,7 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
     # threshold table): distinct sensor i's rates at eta are solved[i, keys[eta][i]]
     evaluated: dict[float, float] = {}
     solved: dict[tuple[int, int], PerSensorRates] = {}
+    solves: list[tuple[int, float]] = []
     # the table keys of the distinct sensors at each cutoff where they are
     # known, and those cutoffs in order. A threshold is the first slot
     # whose running minimum is below eta, so the count of entries below
@@ -377,6 +389,7 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
             for i, key in enumerate(ks):
                 if (i, key) not in solved:
                     solved[i, key] = sensor_rates(distinct[i], eta)
+                    solves.append((fleet.index(i), eta))
             evaluated[eta] = sum(solved[i, ks[i]].d_bar for i in fleet)
         return evaluated[eta]
 
@@ -420,4 +433,5 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
         active=active,
         j_value=float(j_value),
         monotone_ok=monotone_ok,
+        record=SearchRecord(tuple(evaluated.items()), tuple(solves)),
     )

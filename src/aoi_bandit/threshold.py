@@ -102,18 +102,13 @@ def lambert_w0(z: float) -> float:
 
 
 def gamma_scan(params: ChainParams, eta: float) -> ThresholdTable:
-    """Reference thresholds by direct scan of the branch-mean table.
+    """Reference thresholds: per row, the first running minimum below eta.
 
-    The oracle that gamma_analytic must equal; the cutoff simulator
-    polls by it.
+    Those entries end the row, so its last entry says whether it has any.
+    The oracle that gamma_analytic must equal; the cutoff simulator polls by it.
     """
-    return _table(eta, _first_below(_table_cached(params), eta))
-
-
-def _first_below(rows, eta: float) -> np.ndarray:
-    # per row, the 1-based index of its first entry below eta, 0 when none
-    below = rows < eta
-    return np.where(below.any(axis=1), below.argmax(axis=1) + 1, 0)
+    below = _runmin_cached(params) < eta
+    return _table(eta, np.where(below[:, -1], below.argmax(axis=1) + 1, 0))
 
 
 def _table(eta: float, slots: np.ndarray) -> ThresholdTable:
@@ -183,7 +178,8 @@ def _keep_or_scan(abar, runmin, x, eta: float) -> np.ndarray:
     ok &= abar[rows, g - 1] < eta
     ok &= (g == 1) | (runmin[rows, g - 2] >= eta)  # g - 2 = -1 is masked
     if not ok.all():
-        g[~ok] = _first_below(abar[~ok], eta)
+        below = runmin[~ok] < eta
+        g[~ok] = np.where(below[:, -1], below.argmax(axis=1) + 1, 0)
     return g
 
 

@@ -10,6 +10,7 @@ import contextlib
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -53,19 +54,25 @@ def symmetric_sweep_rows():
 
 @pytest.fixture(scope="session")
 def spread_rows():
-    # Uniform and gaussian fleets, three fleet sizes, 200 trials each.
+    # Uniform and gaussian fleets, three fleet sizes, 200 trials each. A
+    # fleet whose aggregate rate dips makes solve_eta warn; that is the one
+    # warning these sweeps may raise
     t0 = time.perf_counter()
     out = {}
-    for kind, sweep, seed in (
-        ("asym_uniform", [0.4, 0.8], 2101),
-        ("asym_gaussian", [0.05, 0.15], 2102),
-    ):
-        for n in (4, 8, 12):
-            config = ab.load_config({
-                "kind": kind, "n": n, "sweep": sweep, "trials": 200,
-                "horizon": 10_000, "m": 100, "seed": seed,
-            })
-            out[kind, n] = ab.run_scenario(config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for kind, sweep, seed in (
+            ("asym_uniform", [0.4, 0.8], 2101),
+            ("asym_gaussian", [0.05, 0.15], 2102),
+        ):
+            for n in (4, 8, 12):
+                config = ab.load_config({
+                    "kind": kind, "n": n, "sweep": sweep, "trials": 200,
+                    "horizon": 10_000, "m": 100, "seed": seed,
+                })
+                out[kind, n] = ab.run_scenario(config)
+    expected = (UserWarning, "aggregate poll rate not monotone on the evaluated grid")
+    assert all((w.category, str(w.message)) == expected for w in caught), caught
     return out, time.perf_counter() - t0
 
 

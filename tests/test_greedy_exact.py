@@ -7,12 +7,22 @@ other sensor ages one slot, clamped at m - 1. A poll's observed age has the
 polled branch's mean, so greedy's value per poll is the stationary mean of
 min_s abar_s over that chain: a noise-free reference for the simulator.
 """
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from aoi_bandit import BranchState, ChainParams, branch_belief, expected_aoi_table, run_greedy
+from aoi_bandit import (
+    BranchState,
+    ChainParams,
+    branch_belief,
+    expected_aoi_table,
+    lower_bound,
+    run_greedy,
+    solve_eta,
+)
 from aoi_bandit.experiments import _halfwidth
 
 
@@ -53,18 +63,31 @@ def exact_greedy_value(fleet: list[ChainParams]) -> tuple[float, int]:
 
 
 # fleets whose chains have at most about 2 000 states, with their exact
-# values to five decimals; the horizon and the seed were fixed before any
-# simulated value was looked at
+# values and the relaxed policy's gap to them, |exact - j_value| / exact,
+# to five decimals (None where the relaxed policy polls nothing); the
+# horizon and the seed were fixed before any simulated value was looked at
 @pytest.mark.parametrize(
-    "ps, m, exact",
-    [((0.6, 0.6), 12, 2.11337), ((0.3, 0.8), 15, 1.42857), ((0.95,) * 4, 3, 2.80738)],
+    "ps, m, exact, gap",
+    [
+        ((0.6, 0.6), 12, 2.11337, 0.02230),
+        ((0.3, 0.8), 15, 1.42857, 0.00000),
+        ((0.95,) * 4, 3, 2.80738, None),
+    ],
     ids=["0.6x2-m12", "0.3-0.8-m15", "0.95x4-m3"],
 )
-def test_greedy_simulation_matches_the_exact_chain_value(ps, m, exact):
+def test_greedy_simulation_matches_the_exact_chain_value(ps, m, exact, gap):
     fleet = [ChainParams(p=p, m=m) for p in ps]
     value, size = exact_greedy_value(fleet)
     assert size <= 2_000
     assert value == pytest.approx(exact, abs=1e-5)  # rounded to five decimals
+    # the paper's relaxed-vs-greedy gap, free of simulation noise
+    relaxed = solve_eta(fleet)
+    if gap is None:
+        assert relaxed.d_hat == 0.0 and relaxed.active == () and math.isnan(relaxed.j_value)
+    else:
+        assert abs(value - relaxed.j_value) / value == pytest.approx(gap, abs=1e-5)
+    # no one-poll-per-slot schedule beats the bound, greedy included
+    assert lower_bound(fleet).value <= value
     result = run_greedy(fleet, 200_000, seed=11)
     assert abs(result.j_realized - value) <= 3.0 * _halfwidth(result.batch_means)
 

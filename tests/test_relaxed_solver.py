@@ -2,6 +2,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -316,25 +317,22 @@ def test_solve_eta_bisection_matches_exhaustive(monkeypatch):
     assert narrowed.d_hat == pytest.approx(full.d_hat, abs=1e-12)
 
 
-def test_identical_sensors_are_solved_once(monkeypatch):
+def test_identical_sensors_are_solved_once():
     sensor, other = ChainParams(p=0.6, m=20), ChainParams(p=0.8, m=20)
-    real = relaxed_solver.sensor_rates
-    systems = []
-
-    def counting(params, eta):
-        systems.append((params, gamma_scan(params, eta).gamma))
-        return real(params, eta)
-
-    monkeypatch.setattr(relaxed_solver, "sensor_rates", counting)
     # bisected (m = 20) and exhaustive (m = 4) grids; repeated sensors
     # still add up in fleet order
     for fleet in ([sensor] * 4, [sensor, other, sensor, other], [ChainParams(p=0.5, m=4)] * 2):
-        systems.clear()
         sol = solve_eta(fleet)
+        solves = sol.record.solves
+        # each solve names its sensor by the index of its first occurrence
+        assert all(fleet.index(fleet[i]) == i for i, _ in solves)
+        systems = [(fleet[i], gamma_scan(fleet[i], eta).gamma) for i, eta in solves]
         # one solve per (sensor, threshold table), eta_star's among them
         assert len(set(systems)) == len(systems)
         assert {(s, gamma_scan(s, sol.eta_star).gamma) for s in fleet} <= set(systems)
-        per = [real(s, sol.eta_star) for s in fleet]
+        assert dict(sol.record.evaluated)[sol.eta_star] == sol.d_hat
+        assert sol == replace(sol, record=None)  # the record is outside ==
+        per = [sensor_rates(s, sol.eta_star) for s in fleet]
         assert sol.d_hat == sum(r.d_bar for r in per)
         assert sol.j_value == sum(r.r_bar for r in per) / sol.d_hat
 
@@ -434,7 +432,7 @@ def test_solve_eta_reproduces_golden_reprs(case):
     "ps, solved_at_top",
     [([0.7], True), ([0.5, 0.7], True), ([0.4, 0.6, 0.8], False), ([0.8] * 3, False)],
 )
-def test_padded_top_is_solved_for_one_or_two_sensors_only(monkeypatch, ps, solved_at_top):
+def test_padded_top_is_solved_for_one_or_two_sensors_only(ps, solved_at_top):
     # at the top every sensor polls every slot, so from three sensors on
     # (equal ones included) the aggregate is known to be n, which opens
     # the bracket and never wins; below three, rounding decides
@@ -443,12 +441,7 @@ def test_padded_top_is_solved_for_one_or_two_sensors_only(monkeypatch, ps, solve
     values = np.unique(np.concatenate([expected_aoi_table(s).ravel() for s in fleet]))
     grid = relaxed_solver._candidate_grid(np.append(values, top))
     assert len(grid) > relaxed_solver._EXHAUSTIVE_BELOW  # bisected
-    real, etas = relaxed_solver.sensor_rates, []
-
-    def recording(params, eta):
-        etas.append(eta)
-        return real(params, eta)
-
-    monkeypatch.setattr(relaxed_solver, "sensor_rates", recording)
-    solve_eta(fleet)
+    record = solve_eta(fleet).record
+    etas = [eta for _, eta in record.solves]
     assert etas and (top in etas) == solved_at_top
+    assert (top in dict(record.evaluated)) == solved_at_top

@@ -110,20 +110,23 @@ def test_thresholds_monotone_in_observed_age(p):
 
 @pytest.mark.parametrize("p", [0.05, 0.3, 0.6, 0.95])
 def test_thresholds_are_first_crossings(p):
-    # defining property: the mean first drops below eta exactly at gamma
+    # defining property: the mean first drops below eta exactly at gamma.
+    # Both routes read the running minimum, so both are checked here
+    # against the raw table rows
     params = ChainParams(p=p, m=15)
     abar = expected_aoi_table(params)
     top = params.q + params.m * params.p
-    for eta in np.linspace(1.0, top + 0.3, 29).tolist():
-        table = gamma_analytic(params, eta)
-        for k, g in enumerate(table.gamma, start=1):
-            row = abar[k - 1]
-            if g == NEVER:
-                assert np.all(row >= eta)
-            else:
-                g = int(g)
-                assert row[g - 1] < eta
-                assert g == 1 or row[g - 2] >= eta
+    for route in (gamma_analytic, gamma_scan):
+        for eta in np.linspace(1.0, top + 0.3, 29).tolist():
+            table = route(params, eta)
+            for k, g in enumerate(table.gamma, start=1):
+                row = abar[k - 1]
+                if g == NEVER:
+                    assert np.all(row >= eta), (route.__name__, eta, k)
+                else:
+                    g = int(g)
+                    assert row[g - 1] < eta, (route.__name__, eta, k)
+                    assert g == 1 or row[g - 2] >= eta, (route.__name__, eta, k)
 
 
 def _eta_candidates(params, count):
