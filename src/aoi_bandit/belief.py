@@ -8,6 +8,7 @@ and its mean age are available without any matrix products.
 """
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -102,11 +103,18 @@ def expected_aoi_table(params: ChainParams) -> np.ndarray:
     """
     m, p = params.m, params.p
     i = np.arange(1, m, dtype=float)
-    k = np.arange(1, m + 1, dtype=float)
     pi_ = p**i
     base = (1.0 - pi_) / (1.0 - p) - pi_ * i
-    reach = np.minimum(i[None, :] + k[:, None], float(m))
-    return base[None, :] + pi_[None, :] * reach
+    return base[None, :] + pi_[None, :] * _reach(m)
+
+
+@functools.cache
+def _reach(m: int) -> np.ndarray:
+    # min(i + k, m) at entry [k - 1, i - 1], the same for every table of cap m
+    k, i = np.ogrid[1 : m + 1, 1:m]
+    reach = np.minimum(k + i, m).astype(float)
+    reach.setflags(write=False)
+    return reach
 
 
 def _weak_cache(build):
@@ -129,6 +137,9 @@ _table_cached = _weak_cache(lambda params: expected_aoi_table(params))
 # running minimum along each row of the cached table: entry [k - 1, j] is
 # the smallest mean of branch k over its first j + 1 slots
 _runmin_cached = _weak_cache(lambda params: np.minimum.accumulate(_table_cached(params), axis=1))
+# the stationary age law's CDF, normalised as Generator.choice normalises
+# it, so that searching one uniform in it draws what choice draws
+_start_cdf_cached = _weak_cache(lambda params: (c := steady_state(params).cumsum()) / c[-1])
 
 
 def steady_expected_aoi(params: ChainParams) -> float:

@@ -14,16 +14,20 @@ policy returns the chunk's polls as int arrays (random draws them at
 once, the cutoff policy follows each sensor's chain of poll slots
 through its gamma_scan table by pointer doubling, greedy repeats its
 last pick without a scan while that sensor's next mean stays below
-every other sensor's current row minimum); array operations account
-them, each poll reading its branch off the sensor's last poll.
+every other sensor's current row minimum, and clamps each row read at
+one fleet-wide bound); array operations account them, each poll
+reading its branch off the sensor's last poll and its mean off that
+sensor's own cached table, one gather per sensor.
 
-True ages start from the stationary distribution and beliefs at the
-no-information branch; the first 10 * max(age cap) slots are burn-in,
-excluded from every estimate. Estimates are per poll: j_realized
-averages the observed ages, j_expected the branch means that drove the
-decisions; their agreement is a built-in check. Per-slot rates are these
-times samples_per_slot. 20 contiguous batch means of the observed ages
-give confidence intervals, since slot samples are autocorrelated.
+True ages start from the stationary distribution, drawn as
+Generator.choice draws them (one uniform searched in the sensor's
+cached CDF), and beliefs at the no-information branch; the first
+10 * max(age cap) slots are burn-in, excluded from every estimate.
+Estimates are per poll: j_realized averages the observed ages,
+j_expected the branch means that drove the decisions; their agreement
+is a built-in check. Per-slot rates are these times samples_per_slot.
+20 contiguous batch means of the observed ages give confidence
+intervals, since slot samples are autocorrelated.
 """
 from __future__ import annotations
 
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # with the package, not lazily on a run's first draw
 
-from .belief import _table_cached
-from .chain import ChainParams, steady_state
+from .belief import _start_cdf_cached, _table_cached
+from .chain import ChainParams
 from .threshold import gamma_scan
 
 __all__ = ["SimResult", "run_random", "run_greedy", "run_relaxed"]
@@ -108,11 +112,7 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
     *s_rngs, p_rng = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n + 1)]
     m = np.array([s.m for s in sensors])
     obs, last = m.copy(), 1 - m  # every belief starts at the stationary branch (m, m - 1)
-    # all tables in one flat array; branch (k, i) of sensor s sits at
-    # offset[s] + (k - 1)(m - 1) + i - 1 = base[s] + k (m - 1) + i
     tables = [_table_cached(s).ravel() for s in sensors]
-    flat = np.concatenate(tables)
-    base = np.cumsum([0] + [len(t) for t in tables[:-1]]) - m
 
     exp_sum, counts = 0.0, np.zeros(n, dtype=np.int64)
     b_obs, b_cnt = np.zeros(nb), np.zeros(nb, dtype=np.int64)
@@ -122,7 +122,8 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
     q = np.array([s.q for s in sensors])
     size = min(_CHUNK, horizon)
     u_buf, age_buf = np.empty((n, size)), np.empty((n, size + 1), dtype=np.int64)
-    start = np.array([rng.choice(s.m, p=steady_state(s)) + 1 for s, rng in zip(sensors, s_rngs)])
+    start = 1 + np.array([_start_cdf_cached(s).searchsorted(rng.random(), side="right")
+                          for s, rng in zip(sensors, s_rngs)])
     for t0 in range(0, horizon, _CHUNK):
         size = min(_CHUNK, horizon - t0)
         u, ages = u_buf[:, :size], age_buf[:, : size + 1]
@@ -137,16 +138,26 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
         # Keys of 16 bits or fewer take numpy's stable radix sort.
         order = np.argsort(who.astype(np.min_scalar_type(n)), kind="stable")
         g_who, g_slot, g_seen = who[order], slots[order], seen[order]
-        head, tail = np.diff(g_who, prepend=-1) != 0, np.diff(g_who, append=n) != 0
-        prev_obs, prev_last = np.roll(g_seen, 1), np.roll(g_slot, 1)
-        prev_obs[head], prev_last[head] = obs[g_who[head]], last[g_who[head]]
+        # each polled sensor's slice of the grouped polls, heads to tails
+        per = np.bincount(who, minlength=n)
+        polled = np.flatnonzero(per)
+        tails = per.cumsum()[polled] - 1
+        heads = tails + 1 - per[polled]
+        prev_obs, prev_last = np.empty_like(g_seen), np.empty_like(g_slot)
+        prev_obs[1:], prev_last[1:] = g_seen[:-1], g_slot[:-1]
+        prev_obs[heads], prev_last[heads] = obs[polled], last[polled]
+        # branch (k, i) of a sensor sits at (k - 1)(m - 1) + i - 1 of its flat table
         mg1 = m[g_who] - 1
+        at = (prev_obs - 1) * mg1 + np.minimum(g_slot - prev_last, mg1) - 1
+        g_value = np.empty(len(slots))
+        for s, a, b in zip(polled.tolist(), heads.tolist(), (tails + 1).tolist()):
+            np.take(tables[s], at[a:b], out=g_value[a:b])
         value = np.empty(len(slots))
-        value[order] = flat[base[g_who] + prev_obs * mg1 + np.minimum(g_slot - prev_last, mg1)]
-        obs[g_who[tail]], last[g_who[tail]] = g_seen[tail], g_slot[tail]
+        value[order] = g_value
+        obs[polled], last[polled] = g_seen[tails], g_slot[tails]
         lo = int(np.searchsorted(slots, burn))
         # summed in poll order: a pairwise sum would round differently
-        exp_sum = float(np.add.accumulate(np.r_[exp_sum, value[lo:]])[-1])
+        exp_sum = float(np.add.accumulate(np.concatenate(([exp_sum], value[lo:])))[-1])
         counts += np.bincount(who[lo:], minlength=n)
         bidx = (slots[lo:] - burn) * nb // mlen
         b_obs += np.bincount(bidx, weights=seen[lo:], minlength=nb)
@@ -167,10 +178,12 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
 def run_greedy(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult:
     """Each slot polls the sensor with the smallest branch mean, lowest index on ties."""
     # per sensor, its table rows as lists, each converted the first time
-    # the run reaches it; each row's first entry (the mean one slot after
-    # a poll) and its minimum, which floors the sensor until its next poll
-    tables = [_table_cached(s) for s in sensors]
-    tabs, isat = [_Rows(t) for t in tables], [s.m - 2 for s in sensors]
+    # the run reaches it and padded to the fleet's widest row, so one
+    # bound clamps every read; each row's first entry (the mean one slot
+    # after a poll) and its minimum, which floors the sensor until its
+    # next poll
+    tables, top = [_table_cached(s) for s in sensors], max(s.m for s in sensors) - 2
+    tabs = [_Rows(t, top + 1) for t in tables]
     firsts, mins = [t[:, 0].tolist() for t in tables], [t.min(axis=1).tolist() for t in tables]
     order = range(len(sensors))
 
@@ -181,38 +194,40 @@ def run_greedy(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult
         rows = [tab[o - 1] for tab, o in zip(tabs, obs.tolist())]
         floors = [mn[o - 1] for mn, o in zip(mins, obs.tolist())]
         at, seen, size = (last + 1 - t0).tolist(), (ages - 1).tolist(), ages.shape[1]
-        who, runs, j = [], [], 0
+        who, ends, j = [], [0], 0
         while j < size:
             best, bv = 0, math.inf
             for s in order:
                 if floors[s] < bv:  # else its mean cannot be below bv
                     d = j - at[s]
-                    v = rows[s][d if d < isat[s] else isat[s]]
+                    v = rows[s][d if d < top else top]
                     if v < bv:
                         best, bv = s, v
             # while the winner's next mean is below every other floor, it is
             # the unique minimum and polls again without a scan
             floors[best] = math.inf
-            lb, first, sb, j0 = min(floors), firsts[best], seen[best], j
+            lb, first, sb = min(floors), firsts[best], seen[best]
             j += 1
             while j < size and first[sb[j - 1]] < lb:
                 j += 1
             who.append(best)
-            runs.append(j - j0)
+            ends.append(j)
             rows[best], at[best], floors[best] = tabs[best][sb[j - 1]], j, mins[best][sb[j - 1]]
-        return np.arange(t0, t0 + size), np.repeat(who, runs)
+        return np.arange(t0, t0 + size), np.repeat(who, np.diff(ends))
 
     return _simulate(sensors, horizon, seed, polls)
 
 
 class _Rows(dict):
-    """Rows of one branch-mean table as lists, converted on first use."""
+    """Rows of one branch-mean table as lists, converted on first use and
+    padded to width entries by repeating their last (saturated) one."""
 
-    def __init__(self, table: np.ndarray):
-        self.table = table
+    def __init__(self, table: np.ndarray, width: int):
+        self.table, self.pad = table, width - table.shape[1]
 
     def __missing__(self, k: int) -> list[float]:
-        row = self[k] = self.table[k].tolist()
+        row = self.table[k].tolist()
+        row = self[k] = row + row[-1:] * self.pad
         return row
 
 
@@ -266,7 +281,7 @@ def _chain(nxt: np.ndarray, start: int) -> tuple[np.ndarray, int]:
     size = len(nxt)
     if start >= size:
         return np.empty(0, dtype=np.int64), start
-    jump, path = np.r_[np.minimum(nxt, size), size], np.array([start])
+    jump, path = np.concatenate([np.minimum(nxt, size), [size]]), np.array([start])
     while True:
         path = np.concatenate([path, jump[path]])
         if path[-1] == size:

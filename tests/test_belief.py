@@ -118,8 +118,10 @@ def test_table_matches_scalar():
     [
         ("_table_cached", expected_aoi_table),
         ("_runmin_cached", lambda s: np.minimum.accumulate(expected_aoi_table(s), axis=1)),
+        # normalised by its last entry, as Generator.choice normalises p
+        ("_start_cdf_cached", lambda s: (c := np.cumsum(steady_state(s))) / c[-1]),
     ],
-    ids=["table", "runmin"],
+    ids=["table", "runmin", "start-cdf"],
 )
 def test_equal_sensors_share_one_read_only_table(cached, build):
     a, b = ChainParams(p=0.37, m=9), ChainParams(p=0.37, m=9)
@@ -128,6 +130,16 @@ def test_equal_sensors_share_one_read_only_table(cached, build):
     assert getattr(belief, cached)(b) is table
     assert not table.flags.writeable
     assert np.array_equal(table, build(a))
+
+
+def test_reach_grid_is_shared_and_read_only():
+    # min(i + k, m) depends on the cap alone, so every table of cap m reads one grid
+    reach = belief._reach(7)
+    assert belief._reach(7) is reach
+    assert not reach.flags.writeable
+    k, i = np.ogrid[1:8, 1:7]
+    assert np.array_equal(reach, np.minimum(k + i, 7))
+    assert reach.dtype == np.float64
 
 
 def test_tables_go_with_their_fleets(monkeypatch):

@@ -292,6 +292,25 @@ def test_policies_see_common_true_ages(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(chunks[0], other))
 
 
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_start_ages_are_generator_choice_draws(seed):
+    # the engine searches one uniform per sensor in its stationary CDF;
+    # Generator.choice(m, p) does the same, so both read one age off each
+    # spawned stream and leave it at the same next draw
+    fleet = [ChainParams(p=p, m=m) for p in (0.0, 0.05, 0.5, 0.95, 0.999) for m in (2, 3, 100)]
+    starts = []
+
+    def polls(t0, ages, obs, last, p_rng):
+        if t0 == 0:
+            starts.append(ages[:, 0].tolist())
+        none = np.empty(0, dtype=np.int64)
+        return none, none
+
+    sim._simulate(fleet, 10 * 100 + 1, seed, polls)
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(len(fleet) + 1)]
+    assert starts == [[int(r.choice(s.m, p=steady_state(s))) + 1 for s, r in zip(fleet, rngs)]]
+
+
 def test_runs_are_reproducible():
     a = run_greedy(FLEET, 3000, seed=42)
     b = run_greedy(FLEET, 3000, seed=42)
