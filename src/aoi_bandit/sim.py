@@ -19,9 +19,9 @@ draws them at once, the cutoff policy follows each sensor's chain of
 poll slots through its gamma_scan table by pointer doubling, greedy
 repeats its last pick without a scan while that sensor's next mean
 stays below every other sensor's current row minimum, and clamps each
-row read at one fleet-wide bound); array operations account them, each
-poll reading its branch off the sensor's last poll and its mean off
-that sensor's own cached table, one gather per sensor.
+row read at one fleet-wide bound); array operations account them one
+polled sensor at a time, its slice of the chunk's polls reading each
+branch off the poll before it and the mean off its own cached table.
 
 True ages start from the stationary distribution, drawn as
 Generator.choice draws them (one uniform searched in the sensor's
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # with the package, not lazily on a run's first draw
 
-from .belief import _start_cdf_cached, _table_cached
+from .belief import _runmin_cached, _start_cdf_cached, _table_cached
 from .chain import ChainParams
 from .threshold import gamma_scan
 
@@ -116,7 +116,7 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
     *s_rngs, p_rng = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n + 1)]
     m = np.array([s.m for s in sensors])
     obs, last = m.copy(), 1 - m  # every belief starts at the stationary branch (m, m - 1)
-    tables = [_table_cached(s).ravel() for s in sensors]
+    tables = [_table_cached(s) for s in sensors]
 
     exp_sum, counts = 0.0, np.zeros(n, dtype=np.int64)
     b_obs, b_cnt = np.zeros(nb), np.zeros(nb, dtype=np.int64)
@@ -137,28 +137,18 @@ def _simulate(sensors: list[ChainParams], horizon: int, seed: int, polls) -> Sim
         start = ages[:, -1].copy()
         slots, who = polls(t0, ages[:, :-1], obs, last, p_rng)
         seen = ages[who, slots - t0]
-        # group the polls by sensor, keeping slot order, so that each reads
-        # the poll before it; a sensor's first one reads the carried state.
+        # each sensor's polls in slot order, so that each reads its branch
+        # off the poll before it and the first off the carried state.
         # Keys of 16 bits or fewer take numpy's stable radix sort.
         order = np.argsort(who.astype(np.min_scalar_type(n)), kind="stable")
-        g_who, g_slot, g_seen = who[order], slots[order], seen[order]
-        # each polled sensor's slice of the grouped polls, heads to tails
-        per = np.bincount(who, minlength=n)
-        polled = np.flatnonzero(per)
-        tails = per.cumsum()[polled] - 1
-        heads = tails + 1 - per[polled]
-        prev_obs, prev_last = np.empty_like(g_seen), np.empty_like(g_slot)
-        prev_obs[1:], prev_last[1:] = g_seen[:-1], g_slot[:-1]
-        prev_obs[heads], prev_last[heads] = obs[polled], last[polled]
-        # branch (k, i) of a sensor sits at (k - 1)(m - 1) + i - 1 of its flat table
-        mg1 = m[g_who] - 1
-        at = (prev_obs - 1) * mg1 + np.minimum(g_slot - prev_last, mg1) - 1
-        g_value = np.empty(len(slots))
-        for s, a, b in zip(polled.tolist(), heads.tolist(), (tails + 1).tolist()):
-            np.take(tables[s], at[a:b], out=g_value[a:b])
         value = np.empty(len(slots))
-        value[order] = g_value
-        obs[polled], last[polled] = g_seen[tails], g_slot[tails]
+        for s, mine in enumerate(np.split(order, np.bincount(who, minlength=n).cumsum()[:-1])):
+            if mine.size:
+                sn, sl = seen[mine], slots[mine]
+                k = np.concatenate(([obs[s]], sn[:-1]))
+                i = np.minimum(sl - np.concatenate(([last[s]], sl[:-1])), m[s] - 1)
+                value[mine] = tables[s][k - 1, i - 1]
+                obs[s], last[s] = sn[-1], sl[-1]
         lo = int(np.searchsorted(slots, burn))
         # summed in poll order: a pairwise sum would round differently
         exp_sum = float(np.add.accumulate(np.concatenate(([exp_sum], value[lo:])))[-1])
@@ -186,9 +176,10 @@ def run_greedy(sensors: list[ChainParams], horizon: int, seed: int) -> SimResult
     # bound clamps every read; each row's first entry (the mean one slot
     # after a poll) and its minimum, which floors the sensor until its
     # next poll
-    tables, top = [_table_cached(s) for s in sensors], max(s.m for s in sensors) - 2
+    tables, top = [_table_cached(s) for s in sensors], max((s.m for s in sensors), default=2) - 2
     tabs = [_Rows(t, top + 1) for t in tables]
-    firsts, mins = [t[:, 0].tolist() for t in tables], [t.min(axis=1).tolist() for t in tables]
+    firsts = [t[:, 0].tolist() for t in tables]
+    mins = [_runmin_cached(s)[:, -1].tolist() for s in sensors]
     order = range(len(sensors))
 
     def polls(t0, ages, obs, last, p_rng):

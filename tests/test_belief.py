@@ -29,6 +29,11 @@ def test_state_validation():
         BranchState(k=2, i=0, m=5)
     with pytest.raises(ValueError):
         BranchState(k=1, i=1, m=1)
+    params = ChainParams(p=0.7, m=6)
+    with pytest.raises(ValueError, match="does not match params cap"):
+        branch_belief(params, BranchState(k=2, i=1, m=5))
+    with pytest.raises(ValueError, match="does not match params cap"):
+        expected_aoi(params, BranchState(k=2, i=1, m=5))
 
 
 def test_state_clamps_elapsed_slots():

@@ -70,6 +70,8 @@ def test_system_rejects_abandoned_branches():
     assert table.has_never
     with pytest.raises(AbsorbingBranchError):
         build_system(params, table)
+    with pytest.raises(ValueError, match="does not match age cap"):
+        build_system(params, gamma_analytic(ChainParams(p=0.8, m=9), 5.0))
 
 
 def _det(a):

@@ -163,6 +163,8 @@ def test_greedy_matches_the_per_slot_argmin_on_tied_tables(monkeypatch):
         return crafted[params]
 
     monkeypatch.setattr(sim, "_table_cached", table)
+    # greedy's floors are the crafted rows' minima too
+    monkeypatch.setattr(sim, "_runmin_cached", lambda p: np.minimum.accumulate(table(p), axis=1))
     for case in range(40):
         fleet = [
             ChainParams(p=float(rng.uniform(0.2, 0.9)), m=int(rng.integers(2, 6)))
@@ -439,7 +441,10 @@ def test_observed_age_follows_branch_belief():
 
 
 def test_argument_errors():
-    with pytest.raises(ValueError):
-        run_greedy([], 1000, seed=0)
+    for policy in ("greedy", "random", "relaxed"):
+        with pytest.raises(ValueError, match="need at least one sensor"):
+            _run(policy, [], 1000, 0, eta=2.0)
+    with pytest.raises(ValueError, match="need at least one sensor"):
+        solve_eta([])
     with pytest.raises(ValueError):
         run_greedy(FLEET, 70, seed=0)

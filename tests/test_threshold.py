@@ -45,6 +45,15 @@ def test_lambert_domain_edges():
         lambert_w0(float("nan"))
 
 
+def test_lambert_series_branch_matches_scipy():
+    # within 2(e z + 1) < 1e-8 of the branch point lambert_w0 returns its
+    # series without a Halley step
+    for delta in (1e-12, 1e-11, 1e-10, 1e-9):
+        z = -math.exp(-1.0) + delta
+        assert 0.0 < 2.0 * (math.e * z + 1.0) < 1e-8, delta
+        assert abs(lambert_w0(z) - float(lambertw(z).real)) <= 1e-9, delta
+
+
 def test_lambert_monotone():
     zs = np.linspace(-math.exp(-1.0), 20.0, 500)
     ws = [lambert_w0(z) for z in zs.tolist()]
