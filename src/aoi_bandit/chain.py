@@ -9,6 +9,7 @@ process an m-state Markov chain on {1, ..., m}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -27,9 +28,10 @@ class ChainParams:
     m: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= float(self.p) < 1.0:
+        # the values as stored: a bool, a string or a float cap is refused
+        if isinstance(self.p, bool) or not isinstance(self.p, Real) or not 0.0 <= self.p < 1.0:
             raise ValueError(f"failure probability must lie in [0, 1), got {self.p}")
-        if int(self.m) != self.m or self.m < 2:
+        if not isinstance(self.m, (int, np.integer)) or self.m < 2:
             raise ValueError(f"age cap must be an integer >= 2, got {self.m}")
 
     @property

@@ -72,38 +72,46 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the one check of a config's values; bool subclasses int, so an integer must be an int
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}, expected one of {_KINDS}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ConfigError(f"fleet size must be a positive integer, got {self.n!r}")
         if self.kind == "asym_deterministic" and self.n < 2:
             raise ConfigError("the deterministic spread needs at least two sensors")
-        if not isinstance(self.m, int) or self.m < 2:
+        if type(self.m) is not int or self.m < 2:
             raise ConfigError(f"age cap must be an integer >= 2, got {self.m!r}")
-        if not self.sweep:
-            raise ConfigError("sweep must list at least one point")
+        if not isinstance(self.sweep, (list, tuple)) or not self.sweep:
+            raise ConfigError(f"sweep must list at least one number, got {self.sweep!r}")
         for x in self.sweep:
-            if not isinstance(x, (int, float)) or not math.isfinite(x):
+            number = isinstance(x, (int, float)) and not isinstance(x, bool)
+            # finite as a float: refuses nan, inf and an int past the float range
+            if not number or not abs(x) <= sys.float_info.max:
                 raise ConfigError(f"sweep points must be finite numbers, got {x!r}")
+        object.__setattr__(self, "sweep", tuple(float(x) for x in self.sweep))
+        for x in self.sweep:
             # gen_sensors' range rule, at load and not after the earlier points'
             # trials; the spreads that draw nothing are checked on their fleet
             _check_width(self.kind, x)
             if self.kind in ("symmetric", "asym_deterministic"):
                 gen_sensors(self, x, None)
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if type(self.trials) is not int or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if self.kind == "asym_deterministic" and self.trials != 1:
             raise ConfigError("the deterministic spread draws nothing, use trials = 1")
-        if not isinstance(self.horizon, int) or self.horizon <= 10 * self.m:
+        if type(self.horizon) is not int or self.horizon <= 10 * self.m:
             raise ConfigError(
                 f"horizon must exceed the burn-in of {10 * self.m} slots, got {self.horizon!r}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 def load_config(source) -> ScenarioConfig:
-    """Build a ScenarioConfig from a dict or a JSON file path."""
+    """Build a ScenarioConfig from a dict or a JSON file path.
+
+    Only the keys are checked here; ScenarioConfig checks every value.
+    """
     if isinstance(source, dict):
         raw = dict(source)
     else:
@@ -112,7 +120,7 @@ def load_config(source) -> ScenarioConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, a huge int, deep nesting
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
@@ -123,10 +131,6 @@ def load_config(source) -> ScenarioConfig:
     missing = {f.name for f in schema if f.default is MISSING} - set(raw)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    sweep = raw["sweep"]
-    if not isinstance(sweep, list):
-        raise ConfigError("sweep must be a list of numbers")
-    raw["sweep"] = tuple(float(x) for x in sweep)
     return ScenarioConfig(**raw)
 
 
@@ -228,7 +232,6 @@ def trial_fleet(config: ScenarioConfig, x_idx: int = 0, trial: int = 0) -> list[
 
 
 def _run_trial(config: ScenarioConfig, x_idx: int, trial: int) -> dict:
-    x = config.sweep[x_idx]
     seeds = _trial_seeds(config, x_idx, trial)
     sensors = trial_fleet(config, x_idx, trial)
     sol = solve_eta(sensors)
@@ -236,7 +239,6 @@ def _run_trial(config: ScenarioConfig, x_idx: int, trial: int) -> dict:
     r_rel = run_relaxed(sensors, sol.eta_star, config.horizon, seeds[2])
     r_greedy = run_greedy(sensors, config.horizon, seeds[3])
     return {
-        "x": x,
         "lb": lower_bound(sensors).value,
         "j_random_analytic": random_policy_value(sensors),
         "j_random_sim": r_rand.j_realized,
@@ -249,37 +251,34 @@ def _run_trial(config: ScenarioConfig, x_idx: int, trial: int) -> dict:
     }
 
 
-def _worker(task):
-    config, x_idx, trial = task
+def _worker(task) -> dict | str:
+    # a trial's results, or the text of its numerical failure, which
+    # flags its row instead of dropping the trial
     try:
-        return x_idx, trial, _run_trial(config, x_idx, trial)
+        return _run_trial(*task)
     except ConfigError:
         raise
     except Exception as exc:
-        # the trial failed numerically: flag it on its row, do not drop it
-        return x_idx, trial, {"__error__": f"{type(exc).__name__}: {exc}"}
+        return f"{type(exc).__name__}: {exc}"
 
 
 _SIM_COLS = ("j_random_sim", "j_relaxed_sim", "j_greedy_sim")
 
 
-def _aggregate(config: ScenarioConfig, x_idx: int, trials: list[tuple[int, dict]]) -> dict:
-    # trials holds (trial index, result) pairs
-    x = config.sweep[x_idx]
-    errors = [(i, t["__error__"]) for i, t in trials if "__error__" in t]
-    good = [t for _, t in trials if "__error__" not in t]
+def _aggregate(x: float, results: list[dict | str]) -> dict:
+    # one sweep point's _worker results, in trial order
+    errors = [(i, r) for i, r in enumerate(results) if isinstance(r, str)]
+    good = [r for r in results if not isinstance(r, str)]
     if errors:
         print(
-            f"row x={x}: {len(errors)}/{len(trials)} trials failed ({errors[0][1]})",
+            f"row x={x}: {len(errors)}/{len(results)} trials failed ({errors[0][1]})",
             file=sys.stderr,
         )
         for i, err in errors:
             print(f"  x={x} trial {i}: {err}", file=sys.stderr)
-    row = {"x": x}
     if not good:
-        for col in COLUMNS[1:]:
-            row[col] = math.nan
-        return row
+        return dict.fromkeys(COLUMNS, math.nan) | {"x": x}
+    row = {"x": x}
     for col in COLUMNS[1:-1]:
         row[col] = float(np.mean([t[col] for t in good]))
     if len(good) > 1:
@@ -311,7 +310,6 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> list[dict]:
         for x_idx in range(len(config.sweep))
         for trial in range(config.trials)
     ]
-    per_x: list[list[tuple[int, dict]]] = [[] for _ in config.sweep]
     # a worker without a trial would idle, one without a CPU would wait
     workers = min(jobs, len(tasks), _usable_cpus())
     with ExitStack() as stack:
@@ -322,9 +320,9 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> list[dict]:
             from concurrent.futures import ProcessPoolExecutor
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for x_idx, trial, res in mapper(_worker, tasks):
-            per_x[x_idx].append((trial, res))
-    return [_aggregate(config, x_idx, trials) for x_idx, trials in enumerate(per_x)]
+        results = list(mapper(_worker, tasks))
+    k = config.trials
+    return [_aggregate(x, results[i * k : (i + 1) * k]) for i, x in enumerate(config.sweep)]
 
 
 def write_csv(rows: list[dict], path) -> None:

@@ -8,16 +8,21 @@ P_GRID = [0.0, 0.1, 0.3, 0.5, 0.8, 0.95]
 M_GRID = [2, 3, 5, 10, 50]
 
 
-@pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
+@pytest.mark.parametrize("p", [-0.1, 1.0, 1.5, "0.5", True, False, None])
 def test_rejects_bad_probability(p):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="failure probability must lie in"):
         ChainParams(p=p, m=5)
 
 
-@pytest.mark.parametrize("m", [0, 1, 2.5])
+@pytest.mark.parametrize("m", [0, 1, 2.5, 10.0, np.float64(10), "10", True])
 def test_rejects_bad_cap(m):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="age cap must be an integer"):
         ChainParams(p=0.5, m=m)
+
+
+@pytest.mark.parametrize("m", [np.int64(10), np.int32(10), np.uint8(10)])
+def test_accepts_numpy_integer_cap(m):
+    assert ChainParams(p=0.5, m=m).m == 10
 
 
 def test_q_complements_p():

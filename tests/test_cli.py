@@ -122,6 +122,29 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"sweep": ["abc"]}, "sweep points must be finite numbers, got 'abc'"),
+        ({"sweep": [None]}, "sweep points must be finite numbers, got None"),
+        ({"sweep": [[0.3]]}, "sweep points must be finite numbers, got [0.3]"),
+        ({"sweep": ["0.3"]}, "sweep points must be finite numbers, got '0.3'"),
+        ({"sweep": [True]}, "sweep points must be finite numbers, got True"),
+        ({"n": True}, "fleet size must be a positive integer, got True"),
+        ({"trials": True}, "trials must be a positive integer, got True"),
+        ({"seed": True}, "seed must be a nonnegative integer, got True"),
+    ],
+)
+def test_mistyped_config_exits_2_on_one_line(tmp_path, capsys, bad, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(CONFIG, **bad)))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    # one line, no traceback
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         {"sweep": [0.4, 1.2]},

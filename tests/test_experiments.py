@@ -17,6 +17,7 @@ from aoi_bandit import (
     gen_sensors,
     load_config,
     read_csv,
+    run_random,
     run_scenario,
     trial_fleet,
     write_csv,
@@ -65,6 +66,18 @@ def test_load_config_defaults():
         lambda d: d.update(m=1),
         lambda d: d.update(horizon=80),
         lambda d: d.update(seed=-1),
+        lambda d: d.update(sweep=["abc"]),
+        lambda d: d.update(sweep=[None]),
+        lambda d: d.update(sweep=[[0.3]]),
+        lambda d: d.update(sweep=["0.3"]),
+        lambda d: d.update(sweep=[True]),
+        lambda d: d.update(sweep=[10**400]),
+        lambda d: d.update(n=True),
+        lambda d: d.update(trials=True),
+        lambda d: d.update(seed=True),
+        lambda d: d.update(m=True),
+        lambda d: d.update(horizon=True),
+        lambda d: d.update(n=2.0),
     ],
 )
 def test_load_config_rejects(mutate):
@@ -72,6 +85,25 @@ def test_load_config_rejects(mutate):
     mutate(payload)
     with pytest.raises(ConfigError):
         load_config(payload)
+
+
+def test_load_config_stores_the_sweep_as_floats():
+    config = load_config(dict(GOOD, sweep=[0, 0.5]))
+    assert config.sweep == (0.0, 0.5)
+    assert all(type(x) is float for x in config.sweep)
+
+
+@pytest.mark.parametrize("m", [2, 3, 100])
+def test_config_and_engine_share_the_burn_in(m):
+    # the shortest horizon a config accepts is the shortest the engine runs
+    first = 10 * m + 1
+    config = load_config(dict(GOOD, kind="symmetric", sweep=[0.5], horizon=first, m=m))
+    sensors = trial_fleet(config)
+    assert run_random(sensors, first, 0).j_realized >= 1.0
+    with pytest.raises(ConfigError, match="burn-in"):
+        load_config(dict(GOOD, kind="symmetric", sweep=[0.5], horizon=first - 1, m=m))
+    with pytest.raises(ValueError, match="burn-in"):
+        run_random(sensors, first - 1, 0)
 
 
 def test_config_deterministic_constraints():
@@ -122,6 +154,10 @@ def test_bad_json_config(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         load_config(path)
+    for text in (b"\xff\xfe{}", b"[" * 100_000, b'{"n": 1' + b"0" * 5000 + b"}"):
+        path.write_bytes(text)  # not UTF-8, nested too deep, an integer too long to read
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
 
 
 def _config(**overrides):
@@ -340,10 +376,10 @@ def test_nan_column_makes_the_interval_nan():
     # widest interval is unknown rather than that of the other columns
     filled = {c: 1.0 for c in COLUMNS[1:-1]}
     trials = [
-        (0, dict(filled, j_random_sim=1.5, j_greedy_sim=2.0, ci_trial=0.1)),
-        (1, dict(filled, j_relaxed_sim=math.nan, ci_trial=0.1)),
+        dict(filled, j_random_sim=1.5, j_greedy_sim=2.0, ci_trial=0.1),
+        dict(filled, j_relaxed_sim=math.nan, ci_trial=0.1),
     ]
-    row = experiments._aggregate(_config(), 0, trials)
+    row = experiments._aggregate(0.3, trials)
     assert math.isnan(row["j_relaxed_sim"])
     assert math.isnan(row["ci_halfwidth"])
 
