@@ -13,7 +13,12 @@ from numbers import Real
 
 import numpy as np
 
-__all__ = ["ChainParams", "build_transition", "steady_state", "step_aoi"]
+__all__ = ["MAX_CAP", "ChainParams", "build_transition", "steady_state", "step_aoi"]
+
+# the largest supported age cap: a run holds about 32 m**2 bytes per distinct
+# sensor (its branch-mean table, the table's running minimum, and the cutoff
+# search's sorted values and candidate grid), 30 MiB at m = 1 000
+MAX_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -21,7 +26,7 @@ class ChainParams:
     """Per-link channel failure probability and age cap.
 
     p: probability that a slot's update is lost (0 <= p < 1).
-    m: age truncation level (m >= 2); an age of m means "m or older".
+    m: age truncation level (2 <= m <= MAX_CAP); an age of m means "m or older".
     """
 
     p: float
@@ -33,6 +38,8 @@ class ChainParams:
             raise ValueError(f"failure probability must lie in [0, 1), got {self.p}")
         if not isinstance(self.m, (int, np.integer)) or self.m < 2:
             raise ValueError(f"age cap must be an integer >= 2, got {self.m}")
+        if self.m > MAX_CAP:
+            raise ValueError(f"age cap {self.m} exceeds the supported maximum of {MAX_CAP}")
 
     @property
     def q(self) -> float:

@@ -16,14 +16,12 @@ import json
 import math
 import os
 import sys
-from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
-import numpy.random  # with the package, not lazily on a run's first draw
 
 from .baselines import lower_bound, random_policy_value
-from .chain import ChainParams
+from .chain import MAX_CAP, ChainParams
 from .relaxed_solver import solve_eta
 from .sim import run_greedy, run_random, run_relaxed
 
@@ -53,7 +51,6 @@ COLUMNS = (
 )
 
 _KINDS = ("symmetric", "asym_deterministic", "asym_uniform", "asym_gaussian")
-_KIND_IDS = {k: i for i, k in enumerate(_KINDS)}
 _CONF = 0.95
 
 
@@ -81,6 +78,8 @@ class ScenarioConfig:
             raise ConfigError("the deterministic spread needs at least two sensors")
         if type(self.m) is not int or self.m < 2:
             raise ConfigError(f"age cap must be an integer >= 2, got {self.m!r}")
+        if self.m > MAX_CAP:
+            raise ConfigError(f"age cap {self.m} exceeds the supported maximum of {MAX_CAP}")
         if not isinstance(self.sweep, (list, tuple)) or not self.sweep:
             raise ConfigError(f"sweep must list at least one number, got {self.sweep!r}")
         for x in self.sweep:
@@ -89,12 +88,8 @@ class ScenarioConfig:
             if not number or not abs(x) <= sys.float_info.max:
                 raise ConfigError(f"sweep points must be finite numbers, got {x!r}")
         object.__setattr__(self, "sweep", tuple(float(x) for x in self.sweep))
-        for x in self.sweep:
-            # gen_sensors' range rule, at load and not after the earlier points'
-            # trials; the spreads that draw nothing are checked on their fleet
-            _check_width(self.kind, x)
-            if self.kind in ("symmetric", "asym_deterministic"):
-                gen_sensors(self, x, None)
+        for x in self.sweep:  # at load, not after the earlier points' trials
+            _check_point(self, x)
         if type(self.trials) is not int or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if self.kind == "asym_deterministic" and self.trials != 1:
@@ -134,34 +129,45 @@ def load_config(source) -> ScenarioConfig:
     return ScenarioConfig(**raw)
 
 
-def _check_width(kind: str, x: float) -> None:
-    # the width rule of the drawn spreads
-    if kind == "asym_uniform" and not 0.0 <= x < 1.0:
+def _fixed_ps(config: ScenarioConfig, x: float, sensors) -> list[float]:
+    # the p of the given sensors (from 1) of a fleet that draws nothing: monotone
+    # in i (each step rounds monotonically) and mirrored about 0.5, like [0, 1)
+    if config.kind == "symmetric":
+        return [x for _ in sensors]
+    if config.kind == "asym_deterministic":
+        return [0.5 + (i - (config.n + 1) / 2.0) * x / (config.n - 1) for i in sensors]
+    return []
+
+
+def _check_point(config: ScenarioConfig, x: float) -> None:
+    # gen_sensors' range rule: a drawn spread's width, or ChainParams' rule on the
+    # ends of a fleet that draws nothing, where its first p out of range must lie
+    if config.kind == "asym_uniform" and not 0.0 <= x < 1.0:
         raise ConfigError(f"uniform spread width must be in [0, 1), got {x}")
-    if kind == "asym_gaussian" and x < 0.0:
+    if config.kind == "asym_gaussian" and x < 0.0:
         raise ConfigError(f"gaussian spread needs a nonnegative width, got {x}")
+    try:
+        for p in _fixed_ps(config, x, (1, config.n)):
+            ChainParams(p=p, m=config.m)
+    except ValueError as exc:
+        raise ConfigError(f"{config.kind} at x={x}: {exc}") from exc
 
 
 def gen_sensors(config: ScenarioConfig, x: float, draw_rng: np.random.Generator) -> list[ChainParams]:
     """Materialize the fleet for one trial at sweep point x."""
     n = config.n
-    _check_width(config.kind, x)
-    if config.kind == "symmetric":
-        ps = [x] * n
-    elif config.kind == "asym_deterministic":
-        ps = [0.5 + (i - (n + 1) / 2.0) * x / (n - 1) for i in range(1, n + 1)]
-    elif config.kind == "asym_uniform":
+    _check_point(config, x)
+    if config.kind == "asym_uniform":
         ps = draw_rng.uniform(0.5 - x / 2.0, 0.5 + x / 2.0, n)
-    else:
+    elif config.kind == "asym_gaussian":
         ps = draw_rng.normal(0.5, x, n)
         bad = (ps <= 0.0) | (ps >= 1.0)
         while bad.any():
             ps[bad] = draw_rng.normal(0.5, x, int(bad.sum()))
             bad = (ps <= 0.0) | (ps >= 1.0)
-    try:
-        return [ChainParams(p=float(p), m=config.m) for p in ps]
-    except ValueError as exc:
-        raise ConfigError(f"{config.kind} at x={x}: {exc}") from exc
+    else:
+        ps = _fixed_ps(config, x, range(1, n + 1))
+    return [ChainParams(p=float(p), m=config.m) for p in ps]
 
 
 # the two-sided _CONF quantile of Student's t for df = 1..64, written out
@@ -219,7 +225,7 @@ def _trial_seeds(config: ScenarioConfig, x_idx: int, trial: int) -> list[int]:
     # fleet draw, random, relaxed, greedy: one independent stream each,
     # derived from (seed, kind, sweep index, trial) so additional trials
     # or sweep points never perturb existing ones
-    ss = np.random.SeedSequence([config.seed, _KIND_IDS[config.kind], x_idx, trial])
+    ss = np.random.SeedSequence([config.seed, _KINDS.index(config.kind), x_idx, trial])
     return [int(s) for s in ss.generate_state(4, dtype=np.uint64)]
 
 
@@ -305,23 +311,19 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> list[dict]:
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
-    tasks = [
-        (config, x_idx, trial)
-        for x_idx in range(len(config.sweep))
-        for trial in range(config.trials)
-    ]
+    k = config.trials
+    tasks = [(config, x_idx, trial) for x_idx in range(len(config.sweep)) for trial in range(k)]
     # a worker without a trial would idle, one without a CPU would wait
     workers = min(jobs, len(tasks), _usable_cpus())
-    with ExitStack() as stack:
-        # both maps hand results back in task order
-        mapper = map
-        if workers > 1:
-            # imported here: a serial run need not load multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    # both maps hand results back in task order
+    if workers > 1:
+        # imported here: a serial run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        results = list(mapper(_worker, tasks))
-    k = config.trials
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_worker, tasks))
+    else:
+        results = list(map(_worker, tasks))
     return [_aggregate(x, results[i * k : (i + 1) * k]) for i, x in enumerate(config.sweep)]
 
 

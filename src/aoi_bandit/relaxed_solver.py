@@ -132,8 +132,12 @@ def iterate_recurrence(system: RecurrenceSystem, horizon: int) -> np.ndarray:
     the first poll, the first poll lands at the branch spacing, and
     later horizons recurse through the observed-age kernel. Column 0
     counts polls and column 1 sums the collected branch means. Serves
-    as the independent check of the affine solve; one windowed matmul
-    per slot carries both.
+    as the independent check of the affine solve. The warm-up slots up
+    to the longest spacing g_max step a window of the last g_max values
+    one windowed matmul at a time; every later slot applies the same
+    affine map to that window, so those are taken together by repeated
+    squaring of its (g_max m + 2)-square matrix, at a cost of order
+    (g_max m)**3 log(horizon) time and (g_max m)**2 floats.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -149,7 +153,7 @@ def iterate_recurrence(system: RecurrenceSystem, horizon: int) -> np.ndarray:
     flat[np.arange(m)[:, None], ((gmax - garr) * m)[:, None] + np.arange(m)] = system.rows
     window = np.zeros((gmax, m, 2))
     out = np.empty((m, 2))
-    for t in range(1, horizon + 1):
+    for t in range(1, min(horizon, gmax) + 1):
         np.dot(flat, window.reshape(gmax * m, 2), out=out)
         out += base
         if t < gmax:
@@ -157,7 +161,25 @@ def iterate_recurrence(system: RecurrenceSystem, horizon: int) -> np.ndarray:
             out[garr > t] = 0.0
         window[:-1] = window[1:]
         window[-1] = out
-    return window[-1].copy()
+    if horizon <= gmax:
+        return window[-1].copy()
+    # one later slot maps [window; I] to [window shifted up by one row, with
+    # flat . window + base last; I], the identity carrying the two constants
+    d = gmax * m
+    step = np.zeros((d + 2, d + 2))
+    step[: d - m, m:d] = np.eye(d - m)
+    step[d - m : d, :d] = flat
+    step[d - m : d, d:] = base
+    step[d:, d:] = np.eye(2)
+    state = np.vstack((window.reshape(d, 2), np.eye(2)))
+    rest = horizon - gmax
+    while rest:
+        if rest & 1:
+            state = step @ state
+        rest >>= 1
+        if rest:
+            step = step @ step
+    return state[d - m : d].copy()
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from aoi_bandit import ChainParams, build_transition, steady_state, step_aoi
+from aoi_bandit import MAX_CAP, ChainParams, build_transition, steady_state, step_aoi
 
 P_GRID = [0.0, 0.1, 0.3, 0.5, 0.8, 0.95]
 M_GRID = [2, 3, 5, 10, 50]
@@ -23,6 +23,14 @@ def test_rejects_bad_cap(m):
 @pytest.mark.parametrize("m", [np.int64(10), np.int32(10), np.uint8(10)])
 def test_accepts_numpy_integer_cap(m):
     assert ChainParams(p=0.5, m=m).m == 10
+
+
+@pytest.mark.parametrize("m", [MAX_CAP + 1, np.int64(MAX_CAP + 1), 10**9])
+def test_rejects_a_cap_past_the_supported_maximum(m):
+    # parameters only: no table is built on either side of the edge
+    assert ChainParams(p=0.5, m=MAX_CAP).m == MAX_CAP
+    with pytest.raises(ValueError, match=f"exceeds the supported maximum of {MAX_CAP}"):
+        ChainParams(p=0.5, m=m)
 
 
 def test_q_complements_p():

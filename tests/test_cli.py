@@ -240,6 +240,26 @@ def test_solve_eta_needs_exactly_one_source(config_path, capsys):
     assert main(["solve-eta", "--config", str(config_path), "--p", "0.5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["lb", "--p", "0.5"], ["solve-eta", "--p", "0.5", "--n", "2"], ["run", "--config"]],
+    ids=["lb", "solve-eta", "run"],
+)
+def test_cap_past_the_supported_maximum_exits_2(tmp_path, capsys, argv):
+    # refused before any table is built
+    top = aoi_bandit.MAX_CAP
+    cap = top + 1
+    if argv[0] == "run":
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(CONFIG, m=cap, horizon=10 * cap + 1)))
+        argv = argv + [str(path)]
+    else:
+        argv = argv + ["--m", str(cap)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: age cap {cap} exceeds the supported maximum of {top}\n"
+
+
 def test_bad_probability_exits_2(capsys):
     assert main(["lb", "--p", "1.5"]) == 2
 

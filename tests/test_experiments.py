@@ -12,6 +12,8 @@ from scipy.special import stdtrit
 
 from aoi_bandit import (
     COLUMNS,
+    MAX_CAP,
+    ChainParams,
     ConfigError,
     ScenarioConfig,
     gen_sensors,
@@ -139,6 +141,29 @@ def test_load_config_applies_the_range_rule_to_every_point(kind, sweep, message)
     with pytest.raises(ConfigError) as raised:
         gen_sensors(config, sweep[1], np.random.default_rng(0))
     assert message in str(raised.value)
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "asym_deterministic"])
+def test_load_config_checks_a_point_without_its_fleet(monkeypatch, kind):
+    # a million sensors a point: the check makes at most two ChainParams per
+    # point, the ends of its fleet, and builds no fleet
+    made = []
+    check = ChainParams.__post_init__
+    monkeypatch.setattr(ChainParams, "__post_init__", lambda s: check(s) or made.append(s.p))
+    sweep = [0.2, 0.5, 0.9]
+    load_config(dict(GOOD, kind=kind, n=10**6, sweep=sweep, trials=1))
+
+    def ends(x):  # the p of the first and the last sensor
+        return (x, x) if kind == "symmetric" else (0.5 - x / 2, 0.5 + x / 2)
+
+    assert made == pytest.approx([p for x in sweep for p in ends(x)])
+
+
+def test_load_config_refuses_a_cap_past_the_supported_maximum():
+    # the edge, checked at load; a drawn spread builds no table there
+    assert load_config(dict(GOOD, m=MAX_CAP, horizon=10 * MAX_CAP + 1)).m == MAX_CAP
+    with pytest.raises(ConfigError, match=f"age cap {MAX_CAP + 1} exceeds the supported maximum"):
+        load_config(dict(GOOD, m=MAX_CAP + 1, horizon=10 * MAX_CAP + 11))
 
 
 def test_missing_config_file():

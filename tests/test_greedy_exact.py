@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import sparse, stats
 from scipy.sparse.linalg import spsolve
 
 from aoi_bandit import (
@@ -90,6 +90,19 @@ def test_greedy_simulation_matches_the_exact_chain_value(ps, m, exact, gap):
     assert lower_bound(fleet).value <= value
     result = run_greedy(fleet, 200_000, seed=11)
     assert abs(result.j_realized - value) <= 3.0 * _halfwidth(result.batch_means)
+
+
+def test_greedy_interval_covers_the_exact_value():
+    # the 95% batch-means interval of 200 runs of 10 000 slots, seeds fixed
+    # before any run was looked at: a correct interval covers the exact
+    # value in Binomial(200, 0.95) of them, outside the band with
+    # probability at most 0.001, as in tests/test_sim.py
+    fleet = [ChainParams(p=0.6, m=12), ChainParams(p=0.6, m=12)]
+    value, _ = exact_greedy_value(fleet)
+    results = [run_greedy(fleet, 10_000, seed) for seed in range(42_000, 42_200)]
+    covered = sum(abs(r.j_realized - value) <= _halfwidth(r.batch_means) for r in results)
+    lo, hi = stats.binom.interval(1 - 0.001, 200, 0.95)
+    assert lo <= covered <= hi
 
 
 def test_exact_value_of_one_sensor_is_its_stationary_poll():

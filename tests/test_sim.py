@@ -23,6 +23,7 @@ from aoi_bandit import (
     step_aoi,
 )
 from aoi_bandit import sim
+from aoi_bandit.experiments import _halfwidth
 
 BATCHES = 20
 
@@ -392,6 +393,35 @@ def test_random_matches_closed_form():
     result = run_random(fleet, 200_000, seed=23)
     assert result.j_realized == pytest.approx(random_policy_value(fleet), rel=0.015)
     assert sum(result.per_sensor_samples) == round(result.samples_per_slot * (200_000 - 300))
+
+
+# The 95% batch-means interval, checked as a claim: a correct one covers the
+# exact value in Binomial(COVERAGE_RUNS, 0.95) of the runs, outside
+# COVERAGE_BAND with probability at most 0.001. Fleet, horizon and seeds
+# were fixed before any run was looked at.
+COVERAGE_RUNS = 200
+COVERAGE_BAND = stats.binom.interval(1 - 0.001, COVERAGE_RUNS, 0.95)
+COVERAGE_FLEET = [ChainParams(p=p, m=100) for p in (0.3, 0.5, 0.7, 0.9)]
+
+
+def _covered(results, exact):
+    # the runs whose interval, j_realized give or take the half-width, holds exact
+    return sum(abs(r.j_realized - exact) <= _halfwidth(r.batch_means) for r in results)
+
+
+def test_cutoff_interval_covers_the_solved_value():
+    sol = solve_eta(COVERAGE_FLEET)
+    seeds = range(40_000, 40_000 + COVERAGE_RUNS)
+    results = [run_relaxed(COVERAGE_FLEET, sol.eta_star, 10_000, seed) for seed in seeds]
+    lo, hi = COVERAGE_BAND
+    assert lo <= _covered(results, sol.j_value) <= hi
+
+
+def test_random_interval_covers_the_closed_form():
+    seeds = range(41_000, 41_000 + COVERAGE_RUNS)
+    results = [run_random(COVERAGE_FLEET, 10_000, seed) for seed in seeds]
+    lo, hi = COVERAGE_BAND
+    assert lo <= _covered(results, random_policy_value(COVERAGE_FLEET)) <= hi
 
 
 def test_batch_means_average_back():
