@@ -68,20 +68,10 @@ def branch_belief(params: ChainParams, state: BranchState) -> np.ndarray:
         raise ValueError(f"state cap {state.m} does not match params cap {params.m}")
     m, p, q = params.m, params.p, params.q
     k, i = state.k, state.i
-    if i >= m - 1:
-        return steady_state(params)
     pi = np.zeros(m)
     pi[:i] = q * p ** np.arange(i, dtype=float)
     pi[min(i + k, m) - 1] += p ** i
     return pi
-
-
-def _mean_age(p: float, m: int, k: int, i: int) -> float:
-    # scalar closed form for the branch mean; i is assumed clamped to m - 1
-    if i >= m - 1:
-        return (1.0 - p**m) / (1.0 - p)
-    pi_ = p**i
-    return (1.0 - pi_) / (1.0 - p) - pi_ * i + pi_ * min(i + k, m)
 
 
 def expected_aoi(params: ChainParams, state: BranchState) -> float:
@@ -92,7 +82,11 @@ def expected_aoi(params: ChainParams, state: BranchState) -> float:
     """
     if state.m != params.m:
         raise ValueError(f"state cap {state.m} does not match params cap {params.m}")
-    return _mean_age(params.p, params.m, state.k, state.i)
+    m, p, k, i = params.m, params.p, state.k, state.i
+    if i >= m - 1:
+        return steady_expected_aoi(params)
+    pi_ = p**i
+    return (1.0 - pi_) / (1.0 - p) - pi_ * i + pi_ * min(i + k, m)
 
 
 def expected_aoi_table(params: ChainParams) -> np.ndarray:

@@ -69,6 +69,17 @@ def _cmd_run(args) -> int:
     out = args.out
     if out is not None and (os.path.isdir(out) or out.endswith(os.sep)):
         out = os.path.join(out, f"{config.kind}_n{config.n}.csv")
+    if out is not None:
+        # refuse an unwritable path before the sweep, not after it; the
+        # probe leaves no new file, so a run that then fails writes none
+        try:
+            os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+            existed = os.path.exists(out)
+            open(out, "a").close()
+            if not existed:
+                os.remove(out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
     rows = run_scenario(config, jobs=args.jobs)
     write_csv(rows, sys.stdout if out is None else out)
     if out is not None:
@@ -93,6 +104,8 @@ def _cmd_solve_eta(args) -> int:
         config = _apply_overrides(load_config(args.config), args)
         sensors = trial_fleet(config)
     else:
+        if args.seed is not None:
+            raise ConfigError("--seed draws a config's fleet; a --p fleet draws nothing")
         sensors = _fleet(args)
     sol = solve_eta(sensors)
     print(f"eta_star={sol.eta_star:.9g}")
@@ -182,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--p", type=float, nargs="+", default=None, help="failure probabilities")
     p_se.add_argument("--n", type=int, default=None, help="replicate a single --p this many times")
     p_se.add_argument("--m", type=int, default=None, help="age cap (default 100); --p only")
-    p_se.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_se.add_argument("--seed", type=int, default=None,
+                      help="override the config seed; --config only")
     p_se.set_defaults(func=_cmd_solve_eta)
 
     p_st = sub.add_parser("selftest", help="quick end-to-end consistency checks")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import _runmin_cached, _table_cached
+from .belief import BranchState, _runmin_cached, _table_cached, branch_belief
 from .chain import ChainParams
 from .threshold import ThresholdTable, gamma_analytic
 
@@ -79,17 +79,10 @@ def build_system(params: ChainParams, table: ThresholdTable) -> RecurrenceSystem
         raise AbsorbingBranchError(
             f"cutoff {table.eta} abandons some branch (p={params.p}, m={params.m})"
         )
-    m, p, q = params.m, params.p, params.q
+    m = params.m
     gammas = table.finite()
-    # j runs over branches (k - 1) and over ages (a - 1). Row k holds the
-    # fresh-reset masses q p**(a - 1) at ages a <= gamma_k and the
-    # no-delivery mass p**gamma_k at age min(gamma_k + k, m); that mass
-    # takes Python's pow, as branch_belief does, since numpy's array
-    # power can differ from it in the last bit
-    g, j = np.array(gammas), np.arange(m)
-    rows = np.where(j < g[:, None], q * p ** j.astype(float), 0.0)
-    rows[j, np.minimum(g + j + 1, m) - 1] += [p**x for x in gammas]
-    rewards = _table_cached(params)[j, g - 1]
+    rows = np.array([branch_belief(params, BranchState(k, g, m)) for k, g in enumerate(gammas, 1)])
+    rewards = _table_cached(params)[np.arange(m), np.array(gammas) - 1]
     return RecurrenceSystem(
         params=params, eta=float(table.eta), gammas=gammas, rows=rows, rewards=rewards
     )

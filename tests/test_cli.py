@@ -164,6 +164,24 @@ def test_bad_sweep_point_exits_2_before_any_trial(tmp_path, monkeypatch, capsys,
     assert calls == []
 
 
+@pytest.mark.parametrize("under", ["missing", "file"])
+def test_unwritable_out_exits_2_before_any_trial(config_path, tmp_path, monkeypatch, capsys, under):
+    # a missing directory that cannot be made, or a regular file standing
+    # where the CSV's directory belongs
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("")
+    parent = blocker if under == "file" else blocker / "sub"
+    out = parent / "y.csv"
+    calls = []
+    monkeypatch.setattr(aoi_bandit.experiments, "_run_trial", lambda *args: calls.append(args))
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert calls == []
+
+
 def test_bad_env_seed_exits_2(config_path, monkeypatch, capsys):
     monkeypatch.setenv("AOI_BANDIT_SEED", "many")
     assert main(["run", "--config", str(config_path)]) == 2
@@ -226,6 +244,16 @@ def test_solve_eta_config_refuses_fleet_flags(config_path, flag, capsys):
     captured = capsys.readouterr()
     assert "--n and --m" in captured.err
     assert captured.out == ""
+
+
+def test_solve_eta_p_refuses_seed(capsys):
+    # a --p fleet draws nothing, so a seed would be ignored
+    for seed in ("1", "-1"):
+        assert main(["solve-eta", "--p", "0.5", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --seed ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
 
 def test_solve_eta_default_age_cap_is_100(capsys):

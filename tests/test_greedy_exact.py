@@ -17,10 +17,12 @@ from scipy.sparse.linalg import spsolve
 from aoi_bandit import (
     BranchState,
     ChainParams,
+    EtaSolution,
     branch_belief,
     expected_aoi_table,
     lower_bound,
     run_greedy,
+    sensor_rates,
     solve_eta,
 )
 from aoi_bandit.experiments import _halfwidth
@@ -62,20 +64,38 @@ def exact_greedy_value(fleet: list[ChainParams]) -> tuple[float, int]:
     return float(pi @ np.array(reward)), n
 
 
+def budget_exact_value(fleet: list[ChainParams], solution: EtaSolution) -> float:
+    """The relaxed value with the poll budget met exactly.
+
+    Time-sharing between the evaluated cutoffs that bracket an aggregate
+    poll rate of 1, the lower one with weight (d+ - 1)/(d+ - d-), polls
+    once per slot on average, so its value per poll is its mean age per
+    slot. This separates the budget rounding of solve_eta's pick from
+    the relaxation's own gap to greedy.
+    """
+    d = dict(solution.record.evaluated)
+    lo = max(eta for eta, rate in d.items() if rate < 1.0)
+    hi = min(eta for eta, rate in d.items() if rate >= 1.0)
+    weight = (d[hi] - 1.0) / (d[hi] - d[lo])
+    r_lo, r_hi = (sum(sensor_rates(s, eta).r_bar for s in fleet) for eta in (lo, hi))
+    return weight * r_lo + (1.0 - weight) * r_hi
+
+
 # fleets whose chains have at most about 2 000 states, with their exact
-# values and the relaxed policy's gap to them, |exact - j_value| / exact,
-# to five decimals (None where the relaxed policy polls nothing); the
-# horizon and the seed were fixed before any simulated value was looked at
+# values and the relaxed policy's gaps to them, |exact - j| / exact to
+# five decimals, for j = j_value (None where the relaxed policy polls
+# nothing) and for j = budget_exact_value; the horizon and the seed were
+# fixed before any simulated value was looked at
 @pytest.mark.parametrize(
-    "ps, m, exact, gap",
+    "ps, m, exact, gap, mix_gap",
     [
-        ((0.6, 0.6), 12, 2.11337, 0.02230),
-        ((0.3, 0.8), 15, 1.42857, 0.00000),
-        ((0.95,) * 4, 3, 2.80738, None),
+        ((0.6, 0.6), 12, 2.11337, 0.02230, 0.02154),
+        ((0.3, 0.8), 15, 1.42857, 0.00000, 0.00000),
+        ((0.95,) * 4, 3, 2.80738, None, 0.00000),
     ],
     ids=["0.6x2-m12", "0.3-0.8-m15", "0.95x4-m3"],
 )
-def test_greedy_simulation_matches_the_exact_chain_value(ps, m, exact, gap):
+def test_greedy_simulation_matches_the_exact_chain_value(ps, m, exact, gap, mix_gap):
     fleet = [ChainParams(p=p, m=m) for p in ps]
     value, size = exact_greedy_value(fleet)
     assert size <= 2_000
@@ -86,6 +106,9 @@ def test_greedy_simulation_matches_the_exact_chain_value(ps, m, exact, gap):
         assert relaxed.d_hat == 0.0 and relaxed.active == () and math.isnan(relaxed.j_value)
     else:
         assert abs(value - relaxed.j_value) / value == pytest.approx(gap, abs=1e-5)
+    # and with the budget met exactly, where polling nothing is one side
+    mixed = budget_exact_value(fleet, relaxed)
+    assert abs(value - mixed) / value == pytest.approx(mix_gap, abs=1e-5)
     # no one-poll-per-slot schedule beats the bound, greedy included
     assert lower_bound(fleet).value <= value
     result = run_greedy(fleet, 200_000, seed=11)
