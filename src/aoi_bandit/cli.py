@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 for configuration or usage problems, 3 for
-numerical failures (singular systems, self test mismatches). Seed
-precedence for commands that take one: --seed flag, then the
-AOI_BANDIT_SEED environment variable, then the config value or 0.
+numerical failures (singular systems, self test mismatches). A --seed
+flag overrides the config's seed (0 for selftest). The CLI reads no
+environment variable.
 """
 from __future__ import annotations
 
@@ -26,24 +26,15 @@ _EXIT_NUMERIC = 3
 
 
 def _seed(args) -> int | None:
-    # the --seed flag, then AOI_BANDIT_SEED; None leaves the caller's default
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get("AOI_BANDIT_SEED")
-        if raw is None:
-            return None
-        try:
-            seed = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"AOI_BANDIT_SEED must be an integer, got {raw!r}") from exc
-    if seed < 0:
+    # the --seed flag; None leaves the caller's default
+    if args.seed is not None and args.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    return seed
+    return args.seed
 
 
 def _fleet(args) -> list[ChainParams]:
     ps = list(args.p)
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         if len(ps) != 1:
             raise ConfigError("--n expands a single --p into a symmetric fleet")
         if args.n < 1:
@@ -67,8 +58,6 @@ def _apply_overrides(config, args):
 def _cmd_run(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     out = args.out
-    if out is not None and (os.path.isdir(out) or out.endswith(os.sep)):
-        out = os.path.join(out, f"{config.kind}_n{config.n}.csv")
     if out is not None:
         # refuse an unwritable path before the sweep, not after it; the
         # probe leaves no new file, so a run that then fails writes none
@@ -81,8 +70,11 @@ def _cmd_run(args) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
     rows = run_scenario(config, jobs=args.jobs)
-    write_csv(rows, sys.stdout if out is None else out)
-    if out is not None:
+    if out is None:
+        write_csv(rows, sys.stdout)
+    else:
+        with open(out, "w", newline="") as fh:
+            write_csv(rows, fh)
         print(f"wrote {out} ({len(rows)} rows)")
     return _EXIT_OK
 
@@ -174,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario config and emit the sweep CSV")
     p_run.add_argument("--config", required=True, help="path to a scenario JSON file")
-    p_run.add_argument("--out", default=None, help="CSV file or directory (default: stdout)")
+    p_run.add_argument("--out", default=None, help="CSV file (default: stdout)")
     p_run.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (default 1); at most one per trial and per usable CPU",
@@ -186,8 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lb = sub.add_parser("lb", help="stationary-fill lower bound for an explicit fleet")
     p_lb.add_argument("--p", type=float, nargs="+", required=True, help="failure probabilities")
     p_lb.add_argument("--n", type=int, default=None, help="replicate a single --p this many times")
-    p_lb.add_argument("--m", type=int, default=100,
-                      help="age cap of every sensor (default 100)")
+    p_lb.add_argument("--m", type=int, default=None, help="age cap (default 100)")
     p_lb.set_defaults(func=_cmd_lb)
 
     p_se = sub.add_parser("solve-eta", help="tune the cutoff for a fleet or a config's fleet")

@@ -262,8 +262,6 @@ def _worker(task) -> dict | str:
     # flags its row instead of dropping the trial
     try:
         return _run_trial(*task)
-    except ConfigError:
-        raise
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -327,22 +325,15 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> list[dict]:
     return [_aggregate(x, results[i * k : (i + 1) * k]) for i, x in enumerate(config.sweep)]
 
 
-def write_csv(rows: list[dict], path) -> None:
-    """Write aggregated rows with the fixed header, values as %.9g.
+def write_csv(rows: list[dict], stream) -> None:
+    """Write rows as %.9g under the COLUMNS header to an open text stream.
 
-    path is a file name or an open text stream such as sys.stdout.
+    A file stream should be opened with newline="", as csv asks.
     """
-    if hasattr(path, "write"):
-        writer = csv.writer(path)
-        writer.writerow(COLUMNS)
-        for row in rows:
-            writer.writerow(format(float(row[c]), ".9g") for c in COLUMNS)
-        return
-    parent = os.path.dirname(str(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        write_csv(rows, fh)
+    writer = csv.writer(stream)
+    writer.writerow(COLUMNS)
+    for row in rows:
+        writer.writerow(format(float(row[c]), ".9g") for c in COLUMNS)
 
 
 def read_csv(path) -> list[dict]:

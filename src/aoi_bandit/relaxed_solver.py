@@ -413,10 +413,10 @@ def solve_eta(sensors: list[ChainParams]) -> EtaSolution:
             evaluate(float(eta))
     else:
         lo, hi = 0, len(grid) - 1
-        d_lo = evaluate(float(grid[lo]))
+        evaluate(float(grid[lo]))  # abandons every branch: _pick needs its 0.0
         # every sensor polls every slot at the top; rounding decides for n <= 2
         d_hi = evaluate(top) if len(sensors) <= 2 else float(len(sensors))
-        if d_lo < 1.0 <= d_hi:
+        if d_hi >= 1.0:
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 if evaluate(float(grid[mid])) < 1.0:

@@ -305,11 +305,10 @@ def test_10_csv_determinism(tmp_path, report):
     cfg_path.write_text(json.dumps(config))
     payloads = []
     for name, extra in (("a", []), ("b", []), ("c", ["--jobs", "2"])):
-        out_dir = tmp_path / name
-        out_dir.mkdir()
-        code = cli_main(["run", "--config", str(cfg_path), "--out", str(out_dir)] + extra)
+        out = tmp_path / f"{name}.csv"
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(out)] + extra)
         assert code == 0
-        payloads.append((out_dir / "asym_uniform_n3.csv").read_bytes())
+        payloads.append(out.read_bytes())
     elapsed = time.perf_counter() - t0
     ok = payloads[0] == payloads[1] == payloads[2]
     report(10, "csv-determinism", ok, elapsed)

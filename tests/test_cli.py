@@ -56,13 +56,6 @@ def test_run_to_file_and_rerun_identical(config_path, tmp_path):
     assert [row["x"] for row in rows] == [0.4, 0.7]
 
 
-def test_run_out_directory_names_by_scenario(config_path, tmp_path):
-    out_dir = tmp_path / "results"
-    out_dir.mkdir()
-    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
-    assert (out_dir / "asym_uniform_n2.csv").exists()
-
-
 def test_run_jobs_match_serial(config_path, tmp_path):
     a = tmp_path / "serial.csv"
     b = tmp_path / "parallel.csv"
@@ -79,26 +72,12 @@ def test_run_nonpositive_jobs_exits_2(config_path, tmp_path, jobs, capsys):
     assert not out.exists()
 
 
-def test_run_seed_override_changes_output(config_path, tmp_path, monkeypatch):
+def test_run_seed_override_changes_output(config_path, tmp_path):
     base = tmp_path / "base.csv"
     flag = tmp_path / "flag.csv"
-    env = tmp_path / "env.csv"
     assert main(["run", "--config", str(config_path), "--out", str(base)]) == 0
     assert main(["run", "--config", str(config_path), "--out", str(flag), "--seed", "9"]) == 0
     assert base.read_bytes() != flag.read_bytes()
-    # the environment fallback matches an explicit flag of the same value
-    monkeypatch.setenv("AOI_BANDIT_SEED", "9")
-    assert main(["run", "--config", str(config_path), "--out", str(env)]) == 0
-    assert env.read_bytes() == flag.read_bytes()
-
-
-def test_run_flag_beats_environment(config_path, tmp_path, monkeypatch):
-    flag = tmp_path / "flag.csv"
-    both = tmp_path / "both.csv"
-    assert main(["run", "--config", str(config_path), "--out", str(flag), "--seed", "3"]) == 0
-    monkeypatch.setenv("AOI_BANDIT_SEED", "9")
-    assert main(["run", "--config", str(config_path), "--out", str(both), "--seed", "3"]) == 0
-    assert flag.read_bytes() == both.read_bytes()
 
 
 def test_run_horizon_override(config_path, tmp_path):
@@ -164,14 +143,19 @@ def test_bad_sweep_point_exits_2_before_any_trial(tmp_path, monkeypatch, capsys,
     assert calls == []
 
 
-@pytest.mark.parametrize("under", ["missing", "file"])
+@pytest.mark.parametrize("under", ["missing", "file", "directory"])
 def test_unwritable_out_exits_2_before_any_trial(config_path, tmp_path, monkeypatch, capsys, under):
-    # a missing directory that cannot be made, or a regular file standing
-    # where the CSV's directory belongs
+    # a missing directory that cannot be made, a regular file standing
+    # where the CSV's directory belongs, or a directory given as the CSV
     blocker = tmp_path / "plain.txt"
     blocker.write_text("")
-    parent = blocker if under == "file" else blocker / "sub"
-    out = parent / "y.csv"
+    out = {
+        "missing": blocker / "sub" / "y.csv",
+        "file": blocker / "y.csv",
+        "directory": tmp_path / "results",
+    }[under]
+    if under == "directory":
+        out.mkdir()
     calls = []
     monkeypatch.setattr(aoi_bandit.experiments, "_run_trial", lambda *args: calls.append(args))
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
@@ -180,12 +164,9 @@ def test_unwritable_out_exits_2_before_any_trial(config_path, tmp_path, monkeypa
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
     assert calls == []
-
-
-def test_bad_env_seed_exits_2(config_path, monkeypatch, capsys):
-    monkeypatch.setenv("AOI_BANDIT_SEED", "many")
-    assert main(["run", "--config", str(config_path)]) == 2
-    assert "AOI_BANDIT_SEED" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+        ["plain.txt", "scenario.json"] + (["results"] if under == "directory" else [])
+    )
 
 
 def test_lb_output(capsys):
@@ -210,6 +191,13 @@ def test_lb_reads_the_age_cap(capsys):
     assert main(["lb", "--p", "0.95", "--n", "4", "--m", "100"]) == 0
     deep = capsys.readouterr().out
     assert "value=" in deep and deep != capped
+
+
+def test_lb_default_age_cap_is_100(capsys):
+    assert main(["lb", "--p", "0.95", "--n", "4"]) == 0
+    default = capsys.readouterr().out
+    assert main(["lb", "--p", "0.95", "--n", "4", "--m", "100"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_lb_n_requires_single_p(capsys):
@@ -299,12 +287,8 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("flag,env", [(["--seed", "-1"], None), ([], "-1")], ids=["flag", "env"])
-def test_selftest_negative_seed_exits_2(flag, env, monkeypatch, capsys):
-    # selftest resolves its seed by the same rule as run and solve-eta
-    if env is not None:
-        monkeypatch.setenv("AOI_BANDIT_SEED", env)
-    assert main(["selftest", *flag]) == 2
+def test_selftest_negative_seed_exits_2(capsys):
+    assert main(["selftest", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert "seed must be nonnegative" in captured.err
     assert captured.out == ""

@@ -325,7 +325,8 @@ def test_csv_round_trip(tmp_path):
     config = _config()
     path = tmp_path / "rows.csv"
     rows = run_scenario(config)
-    write_csv(rows, path)
+    with open(path, "w", newline="") as fh:
+        write_csv(rows, fh)
     back = read_csv(path)
     assert len(back) == len(rows)
     for row, parsed in zip(rows, back):
@@ -333,13 +334,15 @@ def test_csv_round_trip(tmp_path):
             assert parsed[col] == pytest.approx(row[col], rel=1e-8)
     # %.9g output is a fixed point of write/read/write
     twice = tmp_path / "rows2.csv"
-    write_csv(back, twice)
+    with open(twice, "w", newline="") as fh:
+        write_csv(back, fh)
     assert twice.read_bytes() == path.read_bytes()
 
 
 def test_csv_header_only_when_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    write_csv([], path)
+    with open(path, "w", newline="") as fh:
+        write_csv([], fh)
     assert path.read_text().strip() == ",".join(COLUMNS)
     assert read_csv(path) == []
 
@@ -367,7 +370,8 @@ def test_failed_trials_flag_the_row(tmp_path, monkeypatch, capsys):
         assert math.isnan(row["ci_halfwidth"])
     # flagged rows still serialize and parse
     path = tmp_path / "flagged.csv"
-    write_csv(rows, path)
+    with open(path, "w", newline="") as fh:
+        write_csv(rows, fh)
     parsed = read_csv(path)
     assert math.isnan(parsed[0]["j_greedy_sim"])
 

@@ -430,6 +430,12 @@ def test_solve_eta_reproduces_golden_reprs(case):
         assert repr(solve_eta(fleet)) == case["repr"]
 
 
+def _padded_top_and_grid(fleet):
+    top = max(s.q + s.m * s.p for s in fleet) + relaxed_solver._PAD
+    values = np.unique(np.concatenate([expected_aoi_table(s).ravel() for s in fleet]))
+    return top, relaxed_solver._candidate_grid(np.append(values, top))
+
+
 @pytest.mark.parametrize(
     "ps, solved_at_top",
     [([0.7], True), ([0.5, 0.7], True), ([0.4, 0.6, 0.8], False), ([0.8] * 3, False)],
@@ -439,11 +445,33 @@ def test_padded_top_is_solved_for_one_or_two_sensors_only(ps, solved_at_top):
     # (equal ones included) the aggregate is known to be n, which opens
     # the bracket and never wins; below three, rounding decides
     fleet = [ChainParams(p=p, m=40) for p in ps]
-    top = max(s.q + s.m * s.p for s in fleet) + relaxed_solver._PAD
-    values = np.unique(np.concatenate([expected_aoi_table(s).ravel() for s in fleet]))
-    grid = relaxed_solver._candidate_grid(np.append(values, top))
+    top, grid = _padded_top_and_grid(fleet)
     assert len(grid) > relaxed_solver._EXHAUSTIVE_BELOW  # bisected
     record = solve_eta(fleet).record
     etas = [eta for _, eta in record.solves]
     assert etas and (top in etas) == solved_at_top
     assert (top in dict(record.evaluated)) == solved_at_top
+
+
+@pytest.mark.parametrize("bisected", [False, True], ids=["exhaustive", "bisected"])
+@pytest.mark.parametrize(
+    "ps, caps",
+    [
+        ([0.6], [4]),
+        ([0.3, 0.9], [4]),
+        ([0.2, 0.5, 0.95], [3, 5]),
+        ([0.0, 0.05, 0.5, 0.95, 0.999], [2, 4, 6]),
+    ],
+    ids=["n1", "n2", "n3", "n5"],
+)
+def test_search_opens_on_a_zero_rate(ps, caps, bisected):
+    # the first cutoff evaluated is the smallest table value, where every
+    # branch is abandoned; the bisection needs no check of that rate
+    scale = 20 if bisected else 1
+    fleet = [ChainParams(p=p, m=scale * caps[i % len(caps)]) for i, p in enumerate(ps)]
+    _, grid = _padded_top_and_grid(fleet)
+    assert (len(grid) > relaxed_solver._EXHAUSTIVE_BELOW) == bisected
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a fleet whose rate dips warns
+        record = solve_eta(fleet).record
+    assert record.evaluated[0] == (float(grid[0]), 0.0)
