@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 2 for configuration or usage problems, 3 for
 numerical failures (singular systems, self test mismatches). A --seed
-flag overrides the config's seed (0 for selftest). The CLI reads no
-environment variable.
+flag overrides the config's seed (0 for selftest); lb and solve-eta take
+their fleet from --p/--n/--m, and --out names a file in an existing
+directory. The CLI reads no environment variable.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import sys
 
 from .baselines import lower_bound, random_policy_value
 from .chain import ChainParams
-from .experiments import ConfigError, load_config, run_scenario, trial_fleet, write_csv
+from .experiments import ConfigError, load_config, run_scenario, write_csv
 from .relaxed_solver import SingularSystemError, solve_eta
 from .sim import run_random, run_relaxed
 from .threshold import gamma_analytic, gamma_scan
@@ -41,28 +42,21 @@ def _fleet(args) -> list[ChainParams]:
             raise ConfigError(f"--n must be at least 1, got {args.n}")
         ps = ps * args.n
     try:
-        return [ChainParams(p=p, m=100 if args.m is None else args.m) for p in ps]
+        return [ChainParams(p=p, m=args.m) for p in ps]
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _apply_overrides(config, args):
-    seed = _seed(args)
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    if getattr(args, "horizon", None) is not None:
-        config = dataclasses.replace(config, horizon=args.horizon)
-    return config
-
-
 def _cmd_run(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = load_config(args.config)
+    if _seed(args) is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     out = args.out
     if out is not None:
         # refuse an unwritable path before the sweep, not after it; the
-        # probe leaves no new file, so a run that then fails writes none
+        # probe makes no directory and leaves no new file, so a refused
+        # or failed run leaves the tree as it was
         try:
-            os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
             existed = os.path.exists(out)
             open(out, "a").close()
             if not existed:
@@ -88,18 +82,7 @@ def _cmd_lb(args) -> int:
 
 
 def _cmd_solve_eta(args) -> int:
-    if (args.config is None) == (args.p is None):
-        raise ConfigError("give either --config or --p")
-    if args.config is not None:
-        if args.n is not None or args.m is not None:
-            raise ConfigError("--n and --m shape a --p fleet; a config sets its own")
-        config = _apply_overrides(load_config(args.config), args)
-        sensors = trial_fleet(config)
-    else:
-        if args.seed is not None:
-            raise ConfigError("--seed draws a config's fleet; a --p fleet draws nothing")
-        sensors = _fleet(args)
-    sol = solve_eta(sensors)
+    sol = solve_eta(_fleet(args))
     print(f"eta_star={sol.eta_star:.9g}")
     print(f"d_hat={sol.d_hat:.9g}")
     print(f"j={sol.j_value:.9g}")
@@ -163,31 +146,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Minimum-age polling over partially observable sensor links.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fleet = argparse.ArgumentParser(add_help=False)
+    fleet.add_argument("--p", type=float, nargs="+", required=True, help="failure probabilities")
+    fleet.add_argument("--n", type=int, default=None, help="replicate a single --p n times")
+    fleet.add_argument("--m", type=int, default=100, help="age cap (default 100)")
 
     p_run = sub.add_parser("run", help="run a scenario config and emit the sweep CSV")
     p_run.add_argument("--config", required=True, help="path to a scenario JSON file")
-    p_run.add_argument("--out", default=None, help="CSV file (default: stdout)")
+    p_run.add_argument("--out", default=None, help="CSV file in an existing directory")
     p_run.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (default 1); at most one per trial and per usable CPU",
     )
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--horizon", type=int, default=None, help="override the config horizon")
     p_run.set_defaults(func=_cmd_run)
 
-    p_lb = sub.add_parser("lb", help="stationary-fill lower bound for an explicit fleet")
-    p_lb.add_argument("--p", type=float, nargs="+", required=True, help="failure probabilities")
-    p_lb.add_argument("--n", type=int, default=None, help="replicate a single --p this many times")
-    p_lb.add_argument("--m", type=int, default=None, help="age cap (default 100)")
+    p_lb = sub.add_parser("lb", parents=[fleet], help="stationary-fill lower bound")
     p_lb.set_defaults(func=_cmd_lb)
 
-    p_se = sub.add_parser("solve-eta", help="tune the cutoff for a fleet or a config's fleet")
-    p_se.add_argument("--config", default=None, help="scenario JSON; uses its first sweep point")
-    p_se.add_argument("--p", type=float, nargs="+", default=None, help="failure probabilities")
-    p_se.add_argument("--n", type=int, default=None, help="replicate a single --p this many times")
-    p_se.add_argument("--m", type=int, default=None, help="age cap (default 100); --p only")
-    p_se.add_argument("--seed", type=int, default=None,
-                      help="override the config seed; --config only")
+    p_se = sub.add_parser("solve-eta", parents=[fleet], help="tune the cutoff for a fleet")
     p_se.set_defaults(func=_cmd_solve_eta)
 
     p_st = sub.add_parser("selftest", help="quick end-to-end consistency checks")

@@ -144,8 +144,9 @@ def _check_point(config: ScenarioConfig, x: float) -> None:
     # ends of a fleet that draws nothing, where its first p out of range must lie
     if config.kind == "asym_uniform" and not 0.0 <= x < 1.0:
         raise ConfigError(f"uniform spread width must be in [0, 1), got {x}")
-    if config.kind == "asym_gaussian" and x < 0.0:
-        raise ConfigError(f"gaussian spread needs a nonnegative width, got {x}")
+    if config.kind == "asym_gaussian" and not 0.0 <= x <= 1.0:
+        # redrawing into (0, 1) takes time linear in x; at x = 1 it is already near uniform
+        raise ConfigError(f"gaussian spread width must be in [0, 1], got {x}")
     try:
         for p in _fixed_ps(config, x, (1, config.n)):
             ChainParams(p=p, m=config.m)
@@ -343,4 +344,11 @@ def read_csv(path) -> list[dict]:
         header = next(reader, None)
         if header is None or tuple(header) != COLUMNS:
             raise ConfigError(f"unexpected CSV header in {path}: {header}")
-        return [{c: float(v) for c, v in zip(COLUMNS, line)} for line in reader]
+        rows = []
+        for line in reader:
+            if len(line) != len(COLUMNS):
+                raise ConfigError(
+                    f"{path} line {reader.line_num} has {len(line)} fields, not {len(COLUMNS)}"
+                )
+            rows.append({c: float(v) for c, v in zip(COLUMNS, line)})
+        return rows

@@ -121,7 +121,10 @@ def test_config_deterministic_constraints():
 BAD_POINTS = [
     ("asym_uniform", [0.4, 1.2], "uniform spread width must be in [0, 1), got 1.2"),
     ("symmetric", [0.5, 1.0], "symmetric at x=1.0: failure probability"),
-    ("asym_gaussian", [0.1, -0.2], "gaussian spread needs a nonnegative width, got -0.2"),
+    ("asym_gaussian", [0.1, -0.2], "gaussian spread width must be in [0, 1], got -0.2"),
+    # width 1 loads; past it the redraw into (0, 1) slows linearly, and never ends at 1e300
+    ("asym_gaussian", [1.0, math.nextafter(1.0, 2.0)], "in [0, 1], got 1.0000000000000002"),
+    ("asym_gaussian", [1.0, 1e300], "gaussian spread width must be in [0, 1], got 1e+300"),
     ("asym_deterministic", [0.5, 1.0], "asym_deterministic at x=1.0: failure probability"),
     ("asym_deterministic", [0.5, -1.5], "asym_deterministic at x=-1.5: failure probability"),
 ]
@@ -130,7 +133,10 @@ BAD_POINTS = [
 @pytest.mark.parametrize(
     "kind, sweep, message",
     BAD_POINTS,
-    ids=["uniform-1.2", "symmetric-1.0", "gaussian-neg", "deterministic-1.0", "deterministic-neg"],
+    ids=[
+        "uniform-1.2", "symmetric-1.0", "gaussian-neg", "gaussian-past-1", "gaussian-1e300",
+        "deterministic-1.0", "deterministic-neg",
+    ],
 )
 def test_load_config_applies_the_range_rule_to_every_point(kind, sweep, message):
     payload = dict(GOOD, kind=kind, sweep=sweep, trials=1)
@@ -352,6 +358,17 @@ def test_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError):
         read_csv(path)
+
+
+@pytest.mark.parametrize("count", [3, 0, len(COLUMNS) + 1], ids=["short", "blank", "long"])
+def test_csv_rejects_a_row_of_the_wrong_length(tmp_path, count):
+    # line 3 of the file, between two good rows; zero fields is a blank line
+    path = tmp_path / "rows.csv"
+    good = ",".join(["1"] * len(COLUMNS))
+    path.write_text("\n".join([",".join(COLUMNS), good, ",".join(["1"] * count), good]) + "\n")
+    with pytest.raises(ConfigError) as raised:
+        read_csv(path)
+    assert str(raised.value) == f"{path} line 3 has {count} fields, not {len(COLUMNS)}"
 
 
 def test_failed_trials_flag_the_row(tmp_path, monkeypatch, capsys):
