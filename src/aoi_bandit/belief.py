@@ -102,7 +102,7 @@ def expected_aoi_table(params: ChainParams) -> np.ndarray:
     return base[None, :] + pi_[None, :] * _reach(m)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _reach(m: int) -> np.ndarray:
     # min(i + k, m) at entry [k - 1, i - 1], the same for every table of cap m
     k, i = np.ogrid[1 : m + 1, 1:m]

@@ -1,10 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 for configuration or usage problems, 3 for
-numerical failures (singular systems, self test mismatches). A --seed
-flag overrides the config's seed (0 for selftest); lb and solve-eta take
-their fleet from --p/--n/--m, and --out names a file in an existing
-directory. The CLI reads no environment variable.
+numerical failures (singular systems, self test mismatches). run's --seed
+overrides the config's seed, which the config checks; lb and solve-eta take
+their fleet as the list of --p values with one --m, and --out names a file
+in an existing directory. The CLI reads no environment variable.
 """
 from __future__ import annotations
 
@@ -26,30 +26,16 @@ _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 
 
-def _seed(args) -> int | None:
-    # the --seed flag; None leaves the caller's default
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    return args.seed
-
-
 def _fleet(args) -> list[ChainParams]:
-    ps = list(args.p)
-    if args.n is not None:
-        if len(ps) != 1:
-            raise ConfigError("--n expands a single --p into a symmetric fleet")
-        if args.n < 1:
-            raise ConfigError(f"--n must be at least 1, got {args.n}")
-        ps = ps * args.n
     try:
-        return [ChainParams(p=p, m=args.m) for p in ps]
-    except (TypeError, ValueError) as exc:
+        return [ChainParams(p=p, m=args.m) for p in args.p]
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if _seed(args) is not None:
+    if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     out = args.out
     if out is not None:
@@ -90,7 +76,7 @@ def _cmd_solve_eta(args) -> int:
     return _EXIT_OK
 
 
-def _selftest_checks(seed: int):
+def _selftest_checks():
     sensors = [ChainParams(p=0.3, m=64), ChainParams(p=0.6, m=64), ChainParams(p=0.8, m=64)]
     for s in sensors:
         for eta in (1.2, 1.9, 2.6, 3.4, 4.4, 6.0):
@@ -108,7 +94,7 @@ def _selftest_checks(seed: int):
     yield True, f"cutoff tuned: eta_star={sol.eta_star:.6g} d_hat={sol.d_hat:.6g}"
 
     horizon = 120_000
-    rel = run_relaxed(sensors, sol.eta_star, horizon, seed)
+    rel = run_relaxed(sensors, sol.eta_star, horizon, 0)
     if not math.isfinite(rel.j_realized) or abs(rel.j_realized - sol.j_value) > 0.05 * sol.j_value:
         yield False, f"cutoff policy sim {rel.j_realized} vs analytic {sol.j_value}"
         return
@@ -117,7 +103,7 @@ def _selftest_checks(seed: int):
         return
     yield True, "cutoff policy simulation matches its analysis within 5%"
 
-    rnd = run_random(sensors, horizon, seed + 1)
+    rnd = run_random(sensors, horizon, 1)
     jr = random_policy_value(sensors)
     if abs(rnd.j_realized - jr) > 0.05 * jr:
         yield False, f"uniform polling sim {rnd.j_realized} vs analytic {jr}"
@@ -132,9 +118,8 @@ def _selftest_checks(seed: int):
 
 
 def _cmd_selftest(args) -> int:
-    seed = _seed(args)
     ok = True
-    for passed, msg in _selftest_checks(0 if seed is None else seed):
+    for passed, msg in _selftest_checks():
         print(f"selftest: {'ok' if passed else 'FAIL'} - {msg}")
         ok = ok and passed
     return _EXIT_OK if ok else _EXIT_NUMERIC
@@ -148,7 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     fleet = argparse.ArgumentParser(add_help=False)
     fleet.add_argument("--p", type=float, nargs="+", required=True, help="failure probabilities")
-    fleet.add_argument("--n", type=int, default=None, help="replicate a single --p n times")
     fleet.add_argument("--m", type=int, default=100, help="age cap (default 100)")
 
     p_run = sub.add_parser("run", help="run a scenario config and emit the sweep CSV")
@@ -168,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_se.set_defaults(func=_cmd_solve_eta)
 
     p_st = sub.add_parser("selftest", help="quick end-to-end consistency checks")
-    p_st.add_argument("--seed", type=int, default=None)
     p_st.set_defaults(func=_cmd_selftest)
     return parser
 

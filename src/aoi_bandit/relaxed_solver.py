@@ -293,7 +293,7 @@ class EtaSolution:
     record: SearchRecord | None = field(default=None, repr=False, compare=False)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _unsaturated(m: int) -> np.ndarray:
     # the branches (k, i) of an m-row table with i + k <= m; every other
     # entry equals the saturated one (i + k = m) of its column bit for bit

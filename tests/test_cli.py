@@ -81,6 +81,17 @@ def test_run_seed_override_changes_output(config_path, tmp_path):
     assert base.read_bytes() != flag.read_bytes()
 
 
+def test_run_negative_seed_exits_2_before_any_trial(config_path, monkeypatch, capsys):
+    # the config refuses the overridden seed as it refuses one in the file
+    calls = []
+    monkeypatch.setattr(aoi_bandit.experiments, "_run_trial", lambda *args: calls.append(args))
+    assert main(["run", "--config", str(config_path), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+    assert captured.out == ""
+    assert calls == []
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "gone.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -168,7 +179,7 @@ def test_unwritable_out_exits_2_before_any_trial(config_path, tmp_path, monkeypa
 
 
 def test_lb_output(capsys):
-    assert main(["lb", "--p", "0.5", "--n", "4"]) == 0
+    assert main(["lb", "--p", "0.5", "0.5", "0.5", "0.5"]) == 0
     out = capsys.readouterr().out
     fields = dict(part.split("=") for part in out.split())
     assert fields["l_star"] == "1"
@@ -183,34 +194,23 @@ def test_lb_explicit_fleet(capsys):
 
 def test_lb_reads_the_age_cap(capsys):
     # at m = 3 the cap binds; a deep cap gives the uncapped value
-    assert main(["lb", "--p", "0.95", "--n", "4", "--m", "3"]) == 0
+    assert main(["lb", "--p", "0.95", "0.95", "0.95", "0.95", "--m", "3"]) == 0
     capped = capsys.readouterr().out
     assert "value=2.41\n" in capped
-    assert main(["lb", "--p", "0.95", "--n", "4", "--m", "100"]) == 0
+    assert main(["lb", "--p", "0.95", "0.95", "0.95", "0.95", "--m", "100"]) == 0
     deep = capsys.readouterr().out
     assert "value=" in deep and deep != capped
 
 
 def test_lb_default_age_cap_is_100(capsys):
-    assert main(["lb", "--p", "0.95", "--n", "4"]) == 0
+    assert main(["lb", "--p", "0.95", "0.95", "0.95", "0.95"]) == 0
     default = capsys.readouterr().out
-    assert main(["lb", "--p", "0.95", "--n", "4", "--m", "100"]) == 0
+    assert main(["lb", "--p", "0.95", "0.95", "0.95", "0.95", "--m", "100"]) == 0
     assert capsys.readouterr().out == default
 
 
-def test_lb_n_requires_single_p(capsys):
-    assert main(["lb", "--p", "0.3", "0.8", "--n", "4"]) == 2
-
-
-@pytest.mark.parametrize("command", ["lb", "solve-eta"])
-@pytest.mark.parametrize("n", ["0", "-2"])
-def test_nonpositive_n_exits_2(command, n, capsys):
-    assert main([command, "--p", "0.5", "--n", n]) == 2
-    assert "--n must be at least 1" in capsys.readouterr().err
-
-
 def test_solve_eta_from_probs(capsys):
-    assert main(["solve-eta", "--p", "0.8", "--n", "4", "--m", "100"]) == 0
+    assert main(["solve-eta", "--p", "0.8", "0.8", "0.8", "0.8", "--m", "100"]) == 0
     out = capsys.readouterr().out
     fields = dict(part.split("=") for part in out.split())
     assert float(fields["eta_star"]) > 1.0
@@ -219,9 +219,9 @@ def test_solve_eta_from_probs(capsys):
 
 
 def test_solve_eta_default_age_cap_is_100(capsys):
-    assert main(["solve-eta", "--p", "0.8", "--n", "4"]) == 0
+    assert main(["solve-eta", "--p", "0.8", "0.8", "0.8", "0.8"]) == 0
     default = capsys.readouterr().out
-    assert main(["solve-eta", "--p", "0.8", "--n", "4", "--m", "100"]) == 0
+    assert main(["solve-eta", "--p", "0.8", "0.8", "0.8", "0.8", "--m", "100"]) == 0
     assert capsys.readouterr().out == default
 
 
@@ -235,7 +235,7 @@ def test_solve_eta_needs_exactly_one_source(config_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["lb", "--p", "0.5"], ["solve-eta", "--p", "0.5", "--n", "2"], ["run", "--config"]],
+    [["lb", "--p", "0.5"], ["solve-eta", "--p", "0.5", "0.5"], ["run", "--config"]],
     ids=["lb", "solve-eta", "run"],
 )
 def test_cap_past_the_supported_maximum_exits_2(tmp_path, capsys, argv):
@@ -264,11 +264,20 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_selftest_negative_seed_exits_2(capsys):
-    assert main(["selftest", "--seed", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert "seed must be nonnegative" in captured.err
-    assert captured.out == ""
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lb", "--p", "0.5", "--n", "4"],
+        ["solve-eta", "--p", "0.5", "--n", "4"],
+        ["selftest", "--seed", "1"],
+    ],
+    ids=["lb-n", "solve-eta-n", "selftest-seed"],
+)
+def test_removed_flags_are_usage_errors(argv):
+    # a fleet is the list of --p values, and selftest takes no options
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
 
 
 def _fresh_python(code: str) -> str:

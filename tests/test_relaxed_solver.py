@@ -26,7 +26,7 @@ from aoi_bandit import (
     solve_eta,
     steady_expected_aoi,
 )
-from aoi_bandit import relaxed_solver
+from aoi_bandit import belief, relaxed_solver
 from aoi_bandit.cli import main as cli_main
 
 
@@ -257,7 +257,7 @@ def test_singular_solve_is_reported(monkeypatch, capsys):
     with pytest.raises(relaxed_solver.SingularSystemError):
         sensor_rates(params, _mid_eta(params))
     # the CLI turns it into its numerical-failure exit
-    assert cli_main(["solve-eta", "--p", "0.6", "--n", "2", "--m", "10"]) == 3
+    assert cli_main(["solve-eta", "--p", "0.6", "0.6", "--m", "10"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
@@ -397,6 +397,20 @@ def test_unsaturated_mask_is_shared_and_read_only():
     assert not mask.flags.writeable
     k, i = np.ogrid[1:8, 1:7]
     assert np.array_equal(mask, k + i <= 7)
+
+
+def test_per_cap_caches_stay_bounded():
+    # each cap holds an m x (m - 1) grid in each cache; a process that
+    # solves fleets of many caps keeps only the last few
+    caches = (belief._reach, relaxed_solver._unsaturated)
+    for cache in caches:
+        cache.cache_clear()
+    for m in range(10, 22):
+        solve_eta([ChainParams(p=0.5, m=m)])
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses == 12
+        assert info.currsize == 8
 
 
 def test_solve_eta_polls_nothing_when_zero_is_closest():
